@@ -9,11 +9,8 @@
 #include <cstdlib>
 
 #include "anomaly/injectors.h"
-#include "collective/runner.h"
-#include "core/vedrfolnir.h"
-#include "net/network.h"
+#include "eval/experiment.h"
 #include "sim/rng.h"
-#include "sim/simulator.h"
 
 namespace {
 
@@ -38,44 +35,39 @@ std::vector<net::NodeId> sample_hosts(sim::Rng& rng, const net::Topology& topo, 
   return hosts;
 }
 
+collective::CollectivePlan ring_allgather(const std::vector<net::NodeId>& participants,
+                                          std::int64_t bytes_per_step) {
+  return collective::CollectivePlan::ring(0, collective::OpType::kAllGather, participants,
+                                          bytes_per_step);
+}
+
 bool run_loop_case(int id) {
   sim::Rng rng(sim::Rng::mix(0x100F, static_cast<std::uint64_t>(id)));
-  sim::Simulator sim;
-  net::NetConfig cfg;
-  net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
-  const auto participants = sample_hosts(rng, network.topology(), 8);
-  auto plan = collective::CollectivePlan::ring(0, collective::OpType::kAllGather, participants,
-                                               2 << 20);
-  collective::CollectiveRunner runner(network, std::move(plan));
-  core::Vedrfolnir vedr(network, runner);
+  const eval::RunConfig cfg;
+  const net::Topology topo = net::make_fat_tree(4, cfg.netcfg);
+  const auto participants = sample_hosts(rng, topo, 8);
+  eval::Case c(topo, ring_allgather(participants, 2 << 20), eval::SystemKind::kVedrfolnir, cfg);
 
   // Loop between a random participant's edge switch and one of its aggs.
   const net::NodeId victim = participants[rng.index(participants.size())];
-  const net::NodeId edge = network.topology().peer(victim, 0).node;
-  const auto& eports = network.topology().node(edge).ports;
+  const net::NodeId edge = topo.peer(victim, 0).node;
   // Uplinks are the non-host ports.
   std::vector<net::NodeId> aggs;
-  for (const auto& p : eports)
-    if (!network.topology().is_host(p.peer)) aggs.push_back(p.peer);
+  for (const auto& p : topo.node(edge).ports)
+    if (!topo.is_host(p.peer)) aggs.push_back(p.peer);
   const net::NodeId agg = aggs[rng.index(aggs.size())];
-  anomaly::inject_routing_loop(network, victim, edge, agg,
+  anomaly::inject_routing_loop(c.network(), victim, edge, agg,
                                rng.uniform_int(0, 500) * sim::kMicrosecond);
 
-  runner.start(0);
-  sim.run(500 * sim::kMillisecond);
-  const auto diag = vedr.diagnose();
-  return diag.has_type(core::AnomalyType::kRoutingLoop);
+  return c.run(500 * sim::kMillisecond).diagnosis.has_type(core::AnomalyType::kRoutingLoop);
 }
 
 bool run_deadlock_case(int id) {
   sim::Rng rng(sim::Rng::mix(0xDEAD, static_cast<std::uint64_t>(id)));
-  sim::Simulator sim;
-  net::NetConfig cfg;
-  cfg.ecn_kmin_bytes = 1 << 30;
-  cfg.ecn_kmax_bytes = 1 << 30;
+  eval::RunConfig cfg;
+  cfg.netcfg.ecn_kmin_bytes = 1 << 30;
+  cfg.netcfg.ecn_kmax_bytes = 1 << 30;
   const int ring_size = 3 + static_cast<int>(rng.uniform_int(0, 2));  // 3-5 switches
-  net::Network network(sim, net::make_switch_ring(ring_size, 1, cfg), cfg);
-  anomaly::pin_clockwise_routes(network, network.switches());
 
   // Crossing flows: participant order skips around the ring.
   std::vector<net::NodeId> participants;
@@ -86,27 +78,22 @@ bool run_deadlock_case(int id) {
     for (int i = 0; i < ring_size; ++i) participants.push_back(static_cast<net::NodeId>(i));
     std::swap(participants[1], participants[2]);
   }
-  auto plan = collective::CollectivePlan::ring(0, collective::OpType::kAllGather, participants,
-                                               4 << 20);
-  collective::CollectiveRunner runner(network, std::move(plan));
-  core::Vedrfolnir vedr(network, runner);
-  runner.start(0);
-  sim.run(2 * sim::kSecond);
-  const auto diag = vedr.diagnose();
-  return diag.has_type(core::AnomalyType::kPfcDeadlock);
+  eval::Case c(net::make_switch_ring(ring_size, 1, cfg.netcfg),
+               ring_allgather(participants, 4 << 20), eval::SystemKind::kVedrfolnir, cfg);
+  anomaly::pin_clockwise_routes(c.network(), c.network().switches());
+  return c.run(2 * sim::kSecond).diagnosis.has_type(core::AnomalyType::kPfcDeadlock);
 }
 
 bool run_imbalance_case(int id) {
   sim::Rng rng(sim::Rng::mix(0x10AD, static_cast<std::uint64_t>(id)));
-  sim::Simulator sim;
-  net::NetConfig cfg;
-  net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
+  const eval::RunConfig cfg;
+  const net::Topology topo = net::make_fat_tree(4, cfg.netcfg);
 
   // Two same-edge hosts with cross-pod destinations, pinned to one uplink.
-  const net::NodeId edge = network.switches()[static_cast<std::size_t>(rng.uniform_int(0, 7))];
+  const net::NodeId edge = topo.switches()[static_cast<std::size_t>(rng.uniform_int(0, 7))];
   std::vector<net::NodeId> local, remote;
-  for (net::NodeId h : network.topology().hosts()) {
-    if (network.topology().peer(h, 0).node == edge) {
+  for (net::NodeId h : topo.hosts()) {
+    if (topo.peer(h, 0).node == edge) {
       local.push_back(h);
     } else {
       remote.push_back(h);
@@ -116,16 +103,11 @@ bool run_imbalance_case(int id) {
   std::vector<net::NodeId> participants = {local[0], remote[rng.index(4)],
                                            local[1], remote[8 + rng.index(4)]};
   const net::PortId uplink = static_cast<net::PortId>(2 + rng.uniform_int(0, 1));
-  for (net::NodeId dst : remote) network.routing().override_route(edge, dst, {uplink});
 
-  auto plan = collective::CollectivePlan::ring(0, collective::OpType::kAllGather, participants,
-                                               4 << 20);
-  collective::CollectiveRunner runner(network, std::move(plan));
-  core::Vedrfolnir vedr(network, runner);
-  runner.start(0);
-  sim.run(10 * sim::kSecond);
-  if (!runner.done()) return false;
-  return vedr.diagnose().has_type(core::AnomalyType::kLoadImbalance);
+  eval::Case c(topo, ring_allgather(participants, 4 << 20), eval::SystemKind::kVedrfolnir, cfg);
+  for (net::NodeId dst : remote) c.network().routing().override_route(edge, dst, {uplink});
+  const eval::CaseResult r = c.run(10 * sim::kSecond);
+  return r.cc_completed && r.diagnosis.has_type(core::AnomalyType::kLoadImbalance);
 }
 
 }  // namespace

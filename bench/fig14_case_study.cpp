@@ -17,9 +17,7 @@
 #include "bench_util.h"
 #include "collective/runner.h"
 #include "core/vedrfolnir.h"
-#include "net/host.h"
-#include "net/network.h"
-#include "sim/simulator.h"
+#include "eval/experiment.h"
 
 int main() {
   using namespace vedr;
@@ -30,30 +28,30 @@ int main() {
   const auto bf1_bytes = static_cast<std::int64_t>(90e6 * scale);
   const auto bf2_bytes = static_cast<std::int64_t>(450e6 * scale);
 
-  sim::Simulator sim;
-  net::NetConfig netcfg;
-  net::Network network(sim, net::make_fat_tree(4, netcfg), netcfg);
+  const eval::RunConfig cfg;
+  const net::Topology topo = net::make_fat_tree(4, cfg.netcfg);
 
   // The paper's case study runs the ring over its cluster's "nodes 12-19";
   // we use the last 8 hosts of the fat-tree.
-  const auto hosts = network.hosts();
+  const auto hosts = topo.hosts();
   std::vector<net::NodeId> participants(hosts.begin() + 8, hosts.end());
-  auto plan = collective::CollectivePlan::ring(0, collective::OpType::kAllGather, participants,
-                                               step_bytes);
 
   // Two background flows deliberately crossing collective paths: BF1 into a
   // participant's pod from outside (starting one step in, like the paper's
   // smaller interferer), BF2 across pods from the start.
   const net::FlowKey bf1 = anomaly::background_key(1, hosts[0], participants[6]);
   const net::FlowKey bf2 = anomaly::background_key(2, hosts[1], participants[5]);
-  const sim::Tick step_ideal = sim::transmission_delay(step_bytes, netcfg.link_gbps);
+  const sim::Tick step_ideal = sim::transmission_delay(step_bytes, cfg.netcfg.link_gbps);
 
-  collective::CollectiveRunner runner(network, std::move(plan));
-  core::Vedrfolnir vedr(network, runner);
-  anomaly::inject_flow(network, {bf1, bf1_bytes, step_ideal});
-  anomaly::inject_flow(network, {bf2, bf2_bytes, 0});
-  runner.start(0);
-  sim.run(10 * sim::kSecond);
+  eval::Case c(topo,
+               collective::CollectivePlan::ring(0, collective::OpType::kAllGather, participants,
+                                                step_bytes),
+               eval::SystemKind::kVedrfolnir, cfg);
+  anomaly::inject_flow(c.network(), {bf1, bf1_bytes, step_ideal});
+  anomaly::inject_flow(c.network(), {bf2, bf2_bytes, 0});
+  const eval::CaseResult result = c.run(10 * sim::kSecond);
+  const collective::CollectiveRunner& runner = c.runner();
+  core::Vedrfolnir& vedr = c.vedrfolnir();
 
   std::printf("=== Figure 14 case study ===\n");
   std::printf("scale=%.5f  step=%lldB  BF1=%lldB  BF2=%lldB\n", scale,
@@ -62,7 +60,7 @@ int main() {
   std::printf("collective completed: %s, time %.2f ms\n", runner.done() ? "yes" : "no",
               sim::to_ms(runner.finish_time() - runner.start_time()));
 
-  core::Diagnosis diag = vedr.diagnose();
+  const core::Diagnosis& diag = result.diagnosis;
   std::printf("\n%s\n", diag.summary().c_str());
 
   // (a) Waiting graph: pruned vertices + critical path.

@@ -10,24 +10,20 @@
 #include <cstdio>
 
 #include "anomaly/injectors.h"
-#include "collective/runner.h"
-#include "core/vedrfolnir.h"
-#include "net/network.h"
-#include "sim/simulator.h"
+#include "eval/experiment.h"
 
 int main() {
   using namespace vedr;
 
-  sim::Simulator sim;
-  net::NetConfig cfg;
-  net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
+  const eval::RunConfig cfg;
+  const net::Topology topo = net::make_fat_tree(4, cfg.netcfg);
 
-  const auto hosts = network.hosts();
+  const auto hosts = topo.hosts();
   std::vector<net::NodeId> participants(hosts.begin(), hosts.begin() + 8);
-  auto plan = collective::CollectivePlan::ring(0, collective::OpType::kAllGather, participants,
-                                               8 << 20);
-  collective::CollectiveRunner runner(network, std::move(plan));
-  core::Vedrfolnir vedr(network, runner);
+  eval::Case c(topo,
+               collective::CollectivePlan::ring(0, collective::OpType::kAllGather, participants,
+                                                8 << 20),
+               eval::SystemKind::kVedrfolnir, cfg);
 
   // Three interferers into participants' access links: a whale, a mid-size
   // flow, and a minnow.
@@ -41,12 +37,9 @@ int main() {
       {"mid (24 MiB)", anomaly::background_key(1, hosts[13], participants[3]), 24 << 20},
       {"minnow (2 MiB)", anomaly::background_key(2, hosts[14], participants[5]), 2 << 20},
   };
-  for (const auto& bg : interferers) anomaly::inject_flow(network, {bg.key, bg.bytes, 0});
+  for (const auto& bg : interferers) anomaly::inject_flow(c.network(), {bg.key, bg.bytes, 0});
 
-  runner.start(0);
-  sim.run();
-
-  const core::Diagnosis diag = vedr.diagnose();
+  const core::Diagnosis diag = c.run().diagnosis;
   std::printf("collective time: %.2f ms\n\n", sim::to_ms(diag.collective_time));
   std::printf("detected contenders:\n");
   for (const auto& bg : interferers)

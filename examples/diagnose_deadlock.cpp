@@ -15,39 +15,34 @@
 #include <cstdio>
 
 #include "anomaly/injectors.h"
-#include "collective/runner.h"
 #include "core/vedrfolnir.h"
-#include "net/network.h"
+#include "eval/experiment.h"
 #include "net/switch.h"
-#include "sim/simulator.h"
 
 int main() {
   using namespace vedr;
 
-  sim::Simulator sim;
-  net::NetConfig cfg;
-  cfg.ecn_kmin_bytes = 1 << 30;  // ECN off: nothing tames the line-rate start
-  cfg.ecn_kmax_bytes = 1 << 30;
-  net::Network network(sim, net::make_switch_ring(4, 1, cfg), cfg);
-
-  const auto switches = network.switches();
-  anomaly::pin_clockwise_routes(network, switches);
+  eval::RunConfig cfg;
+  cfg.netcfg.ecn_kmin_bytes = 1 << 30;  // ECN off: nothing tames the line-rate start
+  cfg.netcfg.ecn_kmax_bytes = 1 << 30;
 
   // Participants ordered so ring neighbours are two switches apart: every
   // inter-switch link carries two concurrent flows.
   const std::vector<net::NodeId> participants = {0, 2, 1, 3};
-  auto plan = collective::CollectivePlan::ring(0, collective::OpType::kAllGather, participants,
-                                               4 << 20);
-  collective::CollectiveRunner runner(network, std::move(plan));
-  core::Vedrfolnir vedr(network, runner);
+  eval::Case c(net::make_switch_ring(4, 1, cfg.netcfg),
+               collective::CollectivePlan::ring(0, collective::OpType::kAllGather, participants,
+                                                4 << 20),
+               eval::SystemKind::kVedrfolnir, cfg);
+  net::Network& network = c.network();
+  const auto switches = network.switches();
+  anomaly::pin_clockwise_routes(network, switches);
 
-  runner.start(0);
-  sim.run(2 * sim::kSecond);
+  const eval::CaseResult result = c.run(2 * sim::kSecond);
 
   std::printf("collective completed: %s (it should NOT — the fabric deadlocked)\n",
-              runner.done() ? "yes" : "no");
+              result.cc_completed ? "yes" : "no");
   std::printf("events simulated: %llu, final time %.2f ms\n",
-              static_cast<unsigned long long>(sim.events_executed()), sim::to_ms(sim.now()));
+              static_cast<unsigned long long>(result.sim_events), sim::to_ms(network.sim().now()));
 
   std::printf("\nswitch pause state (each pauses its counter-clockwise neighbour):\n");
   for (net::NodeId sw : switches) {
@@ -57,11 +52,11 @@ int main() {
     std::printf("\n");
   }
 
-  const core::Diagnosis diag = vedr.diagnose();
+  const core::Diagnosis& diag = result.diagnosis;
   std::printf("\n%s\n", diag.summary().c_str());
 
   int watchdog = 0;
-  for (net::NodeId h : participants) watchdog += vedr.monitor_of(h).watchdog_polls();
+  for (net::NodeId h : participants) watchdog += c.vedrfolnir().monitor_of(h).watchdog_polls();
   std::printf("watchdog polls fired (no ACKs -> RTT triggers blind): %d\n", watchdog);
   std::printf("deadlock diagnosed: %s\n",
               diag.has_type(core::AnomalyType::kPfcDeadlock) ? "YES" : "no");

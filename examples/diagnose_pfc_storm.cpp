@@ -12,22 +12,23 @@
 
 #include "anomaly/injectors.h"
 #include "collective/runner.h"
-#include "core/vedrfolnir.h"
-#include "net/network.h"
+#include "eval/experiment.h"
 #include "net/routing.h"
-#include "sim/simulator.h"
 
 int main() {
   using namespace vedr;
 
-  sim::Simulator sim;
-  net::NetConfig cfg;
-  net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
+  const eval::RunConfig cfg;
+  const net::Topology topo = net::make_fat_tree(4, cfg.netcfg);
 
-  const auto hosts = network.hosts();
+  const auto hosts = topo.hosts();
   std::vector<net::NodeId> participants(hosts.begin(), hosts.begin() + 8);
-  auto plan = collective::CollectivePlan::ring(0, collective::OpType::kAllGather, participants,
-                                               8 << 20);
+  eval::Case c(topo,
+               collective::CollectivePlan::ring(0, collective::OpType::kAllGather, participants,
+                                                8 << 20),
+               eval::SystemKind::kVedrfolnir, cfg);
+  net::Network& network = c.network();
+  const collective::CollectivePlan& plan = c.runner().plan();
 
   // Pick the injection point the way the evaluation does: a switch-to-switch
   // link on a collective path; the downstream side emits the PAUSEs. Ring
@@ -53,18 +54,14 @@ int main() {
   std::printf("\nstorm injection point: %s (pauses its link peer for 2 ms)\n\n",
               injection.str().c_str());
 
-  collective::CollectiveRunner runner(network, std::move(plan));
-  core::Vedrfolnir vedr(network, runner);
   anomaly::inject_storm(network, {injection, /*start=*/200 * sim::kMicrosecond,
                                   /*duration=*/2 * sim::kMillisecond});
 
-  runner.start(0);
-  sim.run();
+  const eval::CaseResult result = c.run();
 
-  std::printf("collective finished in %.2f ms\n",
-              sim::to_ms(runner.finish_time() - runner.start_time()));
+  std::printf("collective finished in %.2f ms\n", sim::to_ms(result.cc_time));
 
-  const core::Diagnosis diag = vedr.diagnose();
+  const core::Diagnosis& diag = result.diagnosis;
   std::printf("\n%s\n", diag.summary().c_str());
 
   bool traced = false;

@@ -13,21 +13,22 @@
 #include "anomaly/injectors.h"
 #include "collective/runner.h"
 #include "collective/step_queues.h"
-#include "core/vedrfolnir.h"
-#include "net/network.h"
-#include "sim/simulator.h"
+#include "eval/experiment.h"
 
 int main() {
   using namespace vedr;
 
-  sim::Simulator sim;
-  net::NetConfig cfg;
-  net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
+  const eval::RunConfig cfg;
 
   // Spread participants across pods so partner distances change hop counts.
   const std::vector<net::NodeId> participants = {0, 2, 4, 6, 8, 10, 12, 14};
-  auto plan = collective::CollectivePlan::halving_doubling(
-      0, collective::OpType::kAllGather, participants, 4 << 20);
+  eval::Case c(net::make_fat_tree(4, cfg.netcfg),
+               collective::CollectivePlan::halving_doubling(0, collective::OpType::kAllGather,
+                                                            participants, 4 << 20),
+               eval::SystemKind::kVedrfolnir, cfg);
+  net::Network& network = c.network();
+  const collective::CollectiveRunner& runner = c.runner();
+  const collective::CollectivePlan& plan = runner.plan();
 
   std::printf("Halving-and-Doubling AllGather over 8 hosts, 3 steps:\n");
   for (int f = 0; f < plan.num_flows(); ++f) {
@@ -44,9 +45,6 @@ int main() {
                 sim::to_us(network.base_rtt(key)));
   }
 
-  collective::CollectiveRunner runner(network, std::move(plan));
-  core::Vedrfolnir vedr(network, runner);
-
   // Interferer arriving during step 1.
   const net::FlowKey bg = anomaly::background_key(0, 1, participants[3]);
   anomaly::inject_flow(network, {bg, 48 << 20, 300 * sim::kMicrosecond});
@@ -54,7 +52,7 @@ int main() {
   // Sample the Table-I waiting states mid-run.
   std::printf("\nlive waiting states (W=waiting, n=non-waiting, F=finished):\n");
   for (int i = 1; i <= 8; ++i) {
-    sim.schedule_at(i * 200 * sim::kMicrosecond, [&runner, &sim, i] {
+    network.sim().schedule_at(i * 200 * sim::kMicrosecond, [&runner, i] {
       std::printf("  t=%4dus:", i * 200);
       for (int f = 0; f < runner.plan().num_flows(); ++f) {
         const auto st = runner.queues(f).state();
@@ -63,16 +61,13 @@ int main() {
                                : (st == collective::WaitState::kFinished ? 'F' : 'n'));
       }
       std::printf("\n");
-      (void)sim;
     });
   }
 
-  runner.start(0);
-  sim.run();
+  const eval::CaseResult result = c.run();
 
-  std::printf("\ncollective finished in %.2f ms\n",
-              sim::to_ms(runner.finish_time() - runner.start_time()));
-  const core::Diagnosis diag = vedr.diagnose();
+  std::printf("\ncollective finished in %.2f ms\n", sim::to_ms(result.cc_time));
+  const core::Diagnosis& diag = result.diagnosis;
   std::printf("\n%s\n", diag.summary().c_str());
   std::printf("interferer detected: %s\n", diag.detects_flow(bg) ? "YES" : "no");
   return 0;

@@ -9,10 +9,6 @@ namespace vedr::collective {
 
 namespace {
 
-void on_collective_start(const sim::EventPayload& p) {
-  static_cast<CollectiveRunner*>(p.obj)->on_start();
-}
-
 /// Async-span correlation id for a (rank, step) pair — stable across the
 /// begin/end pair and unique within a collective.
 std::uint64_t step_span_id(int flow, int step) {
@@ -24,7 +20,7 @@ std::uint64_t step_span_id(int flow, int step) {
 
 CollectiveRunner::CollectiveRunner(net::Network& net, CollectivePlan plan)
     : net_(net), plan_(std::move(plan)) {
-  net_.set_handler_all(sim::EventKind::kCollectiveStart, &on_collective_start);
+  net_.set_handler_all(sim::EventKind::kCollectiveStart, &on_start_event);
   const int flows = plan_.num_flows();
   records_.resize(static_cast<std::size_t>(flows));
   recv_done_.resize(static_cast<std::size_t>(flows));
@@ -49,17 +45,34 @@ CollectiveRunner::CollectiveRunner(net::Network& net, CollectivePlan plan)
                        : net::kInvalidNode;
       r.dep_flow = s.dep_flow;
       r.dep_step = s.dep_step;
-      r.expected_duration = net_.ideal_fct(r.key, s.bytes);
     }
   }
 }
 
 void CollectiveRunner::start(Tick at) {
   VEDR_CHECK(!net_.sharded(), "sharded runs must call on_start() before the engine starts");
+  read_expected_durations();
   net_.sim().schedule_event_at(at, sim::EventKind::kCollectiveStart, {this, 0, 0});
 }
 
 void CollectiveRunner::on_start() {
+  read_expected_durations();
+  launch();
+}
+
+void CollectiveRunner::on_start_event(const sim::EventPayload& p) {
+  static_cast<CollectiveRunner*>(p.obj)->launch();
+}
+
+void CollectiveRunner::read_expected_durations() {
+  // Read when the op is armed, not at construction, so route edits made
+  // between the two (pinned or overridden routes) shape the baseline. Later
+  // mid-run edits (an injected routing loop) do not.
+  for (auto& flow : records_)
+    for (StepRecord& r : flow) r.expected_duration = net_.ideal_fct(r.key, r.bytes);
+}
+
+void CollectiveRunner::launch() {
   start_time_ = net_.sim().now();
   // Register every expected receive up front; the plan is known before
   // execution (§III-B: steps are predefined prior to execution). Each

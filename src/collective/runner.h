@@ -45,7 +45,8 @@ class CollectiveRunner {
   /// Schedules the op to begin at absolute time `at`. Serial engine only;
   /// a sharded run calls on_start() directly before the engine starts (the
   /// trampoline would fire mid-window on one domain while other domains'
-  /// hosts are being touched).
+  /// hosts are being touched). Either call reads each step's expected
+  /// duration from the routing table as it stands then.
   void start(Tick at = 0);
 
   void set_on_step_start(StepStartFn fn) { on_step_start_ = std::move(fn); }
@@ -71,14 +72,17 @@ class CollectiveRunner {
     return queues_.at(static_cast<std::size_t>(flow));
   }
 
-  // --- event-dispatch entry point (kCollectiveStart trampoline only) -------
-
-  /// The scheduled start time arrived: register receives and launch step 0.
-  /// Sharded runs call this directly (before engine.run(), no workers yet);
-  /// each host's registration happens under its own domain's ShardScope.
+  /// Starts the op now, without the kCollectiveStart event: sharded runs
+  /// call this before engine.run() (no workers yet); each host's
+  /// registration happens under its own domain's ShardScope.
   void on_start();
 
  private:
+  /// kCollectiveStart trampoline: the time start() scheduled has arrived.
+  static void on_start_event(const sim::EventPayload& p);
+  void read_expected_durations();
+  /// Registers every expected receive and launches step 0.
+  void launch();
   void try_start_send(int flow, int step);
   void on_send_done(int flow, int step, Tick t);
   void on_recv_done(int flow, int step, Tick t);

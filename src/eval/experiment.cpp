@@ -9,10 +9,10 @@
 #include "collective/runner.h"
 #include "common/digest.h"
 #include "common/worker_pool.h"
-#include "eval/case_internal.h"
 #include "core/json_export.h"
 #include "core/vedrfolnir.h"
 #include "net/network.h"
+#include "net/shard.h"
 #include "net/switch.h"
 #include "net/trace.h"
 #include "obs/log.h"
@@ -20,11 +20,12 @@
 #include "obs/trace.h"
 #include "replay/collector.h"
 #include "replay/trace_writer.h"
+#include "sim/sharded_engine.h"
 #include "sim/simulator.h"
 
 namespace vedr::eval {
 
-namespace detail {
+namespace {
 
 /// Ground-truth verification (see score_case): which injected flows
 /// actually queued ahead of collective packets somewhere in the fabric,
@@ -32,7 +33,7 @@ namespace detail {
 std::vector<net::FlowKey> verified_contenders(net::Network& network,
                                               const collective::CollectivePlan& plan,
                                               const ScenarioSpec& spec,
-                                              double min_weight) {
+                                              double min_weight = 8.0) {
   std::unordered_set<net::FlowKey, net::FlowKeyHash> cc;
   for (int f = 0; f < plan.num_flows(); ++f)
     for (const auto& s : plan.steps_of_flow(f)) cc.insert(plan.key_for(f, s.step));
@@ -120,6 +121,8 @@ bool pfc_impacted_collective(net::Network& network, const collective::Collective
   return true;
 }
 
+/// Folds every diagnosis-visible case output into `digest` — the shared
+/// tail of both determinism lanes (serial and sharded).
 void fold_case_outputs(common::Digest& digest, const CaseResult& result) {
   // Fold every output a consumer of the diagnosis could observe.
   digest.mix(std::string_view(result.outcome.label()));
@@ -136,7 +139,19 @@ void fold_case_outputs(common::Digest& digest, const CaseResult& result) {
     digest.mix(flow.hash()).mix(score);
 }
 
-}  // namespace detail
+/// The packet-event fold shared by both digest lanes.
+void mix_trace_event(common::Digest& digest, const net::TraceEvent& ev) {
+  digest.mix(static_cast<std::uint64_t>(ev.kind))
+      .mix(ev.time)
+      .mix(ev.node)
+      .mix(ev.port)
+      .mix(static_cast<std::uint64_t>(ev.pkt_type))
+      .mix(ev.flow.hash())
+      .mix(ev.seq)
+      .mix(ev.size);
+}
+
+}  // namespace
 
 const char* to_string(SystemKind s) {
   switch (s) {
@@ -148,89 +163,108 @@ const char* to_string(SystemKind s) {
   return "?";
 }
 
-CaseResult run_case(const ScenarioSpec& spec, SystemKind system, const RunConfig& cfg) {
+Case::Case(const net::Topology& topo, collective::CollectivePlan plan, SystemKind system,
+           const RunConfig& cfg, sim::Tick poll_until)
+    : system_(system),
+      capture_metrics_(cfg.capture_metrics),
+      capture_shard_report_(cfg.capture_shard_report) {
+  net::ShardPlan shard_plan;
   if (cfg.shards > 1) {
     VEDR_CHECK(system == SystemKind::kVedrfolnir,
                "sharded runs support the Vedrfolnir system only");
-    VEDR_CHECK(cfg.tracer == nullptr && cfg.trace_writer == nullptr,
+    VEDR_CHECK(cfg.trace_writer == nullptr,
                "sharded runs take per-domain tracers (domain_tracer_factory), not a "
-               "global tracer or trace writer");
-    return detail::run_case_sharded(spec, cfg);
+               "trace writer");
+    shard_plan = net::ShardPlan::for_topology(topo);
   }
-  VEDR_SPAN("eval", "run_case");
-  CaseResult result;
-  result.scenario = spec.type;
-  result.system = system;
-  result.case_id = spec.case_id;
+  if (shard_plan.parallel()) {
+    // Workers beyond the domain count would idle; the engine clamps too, but
+    // clamping here keeps engine introspection (num_workers) honest.
+    engine_ = std::make_unique<sim::ShardedEngine>(shard_plan.num_domains, shard_plan.lookahead,
+                                                   std::min(cfg.shards, shard_plan.num_domains));
+    if (capture_shard_report_) engine_->set_collect_timing(true);
+    network_ = std::make_unique<net::Network>(*engine_, shard_plan, topo, cfg.netcfg);
+  } else {
+    // Serial engine — also the graceful fallback when the partitioner cannot
+    // split the topology.
+    sim_ = std::make_unique<sim::Simulator>();
+    network_ = std::make_unique<net::Network>(*sim_, topo, cfg.netcfg);
+  }
+  if (cfg.domain_tracer_factory) {
+    const int domains = network_->num_domains();
+    for (int d = 0; d < domains; ++d)
+      network_->set_domain_tracer(d, cfg.domain_tracer_factory(d, domains));
+  }
+  if (cfg.trace_writer != nullptr) network_->set_telemetry_tap(cfg.trace_writer);
 
-  sim::Simulator sim;
-  const net::Topology topo = net::make_fat_tree(cfg.fat_tree_k, cfg.netcfg);
-  net::Network network(sim, topo, cfg.netcfg);
-  if (cfg.tracer != nullptr) network.set_tracer(cfg.tracer);
-  if (cfg.trace_writer != nullptr) network.set_telemetry_tap(cfg.trace_writer);
-
-  auto plan = collective::CollectivePlan::ring(0, collective::OpType::kAllGather,
-                                               spec.participants, spec.cc_step_bytes);
-  collective::CollectiveRunner runner(network, std::move(plan));
-
-  std::unique_ptr<core::Vedrfolnir> vedr;
-  std::unique_ptr<baselines::Hawkeye> hawkeye;
-  std::unique_ptr<baselines::FullPolling> full;
-
+  runner_ = std::make_unique<collective::CollectiveRunner>(*network_, std::move(plan));
   switch (system) {
     case SystemKind::kVedrfolnir:
-      vedr = std::make_unique<core::Vedrfolnir>(
-          network, runner, core::VedrfolnirConfig{cfg.detection, cfg.trace_writer});
+      vedr_ = std::make_unique<core::Vedrfolnir>(
+          *network_, *runner_, core::VedrfolnirConfig{cfg.detection, cfg.trace_writer});
       break;
     case SystemKind::kHawkeyeMaxR:
     case SystemKind::kHawkeyeMinR: {
       baselines::HawkeyeConfig hc;
       hc.rtt_multiplier = cfg.hawkeye_multiplier;
       hc.use_max_rtt = system == SystemKind::kHawkeyeMaxR;
-      hawkeye = std::make_unique<baselines::Hawkeye>(network, runner.plan(), hc);
-      hawkeye->analyzer().set_trace_tap(cfg.trace_writer);
+      hawkeye_ = std::make_unique<baselines::Hawkeye>(*network_, runner_->plan(), hc);
+      hawkeye_->analyzer().set_trace_tap(cfg.trace_writer);
       break;
     }
     case SystemKind::kFullPolling:
-      full = std::make_unique<baselines::FullPolling>(network, runner.plan(),
-                                                      cfg.full_poll_interval);
-      full->analyzer().set_trace_tap(cfg.trace_writer);
-      full->start(spec.horizon);
+      full_ = std::make_unique<baselines::FullPolling>(*network_, runner_->plan(),
+                                                       cfg.full_poll_interval);
+      full_->analyzer().set_trace_tap(cfg.trace_writer);
+      // Before any caller injection: the first sweep's event sequence number
+      // precedes theirs, which decides same-tick ties.
+      full_->start(poll_until);
       break;
   }
+}
 
-  for (const auto& f : spec.bg_flows) anomaly::inject_flow(network, f);
-  for (const auto& s : spec.storms) anomaly::inject_storm(network, s);
+Case::~Case() = default;
 
-  runner.start(0);
-  sim.run(spec.horizon * 4);
+core::Vedrfolnir& Case::vedrfolnir() {
+  VEDR_CHECK(vedr_ != nullptr, "this case runs ", to_string(system_), ", not Vedrfolnir");
+  return *vedr_;
+}
 
-  result.cc_completed = runner.done();
-  result.cc_time = runner.done() ? runner.finish_time() - runner.start_time() : 0;
-  result.sim_events = sim.events_executed();
+CaseResult Case::run(sim::Tick until) {
+  CaseResult result;
+  result.system = system_;
+  net::Network& network = *network_;
+  if (engine_ != nullptr) {
+    // Direct start (t = 0 on every domain's clock) instead of the serial
+    // kCollectiveStart trampoline: registration must happen before any
+    // worker thread exists, because it touches hosts across every domain.
+    runner_->on_start();
+    engine_->run(until);
+    network.merge_domain_stats();
+    result.sim_events = engine_->events_executed();
+  } else {
+    runner_->start(0);
+    sim_->run(until);
+    result.sim_events = sim_->events_executed();
+  }
+
+  result.cc_completed = runner_->done();
+  result.cc_time = runner_->done() ? runner_->finish_time() - runner_->start_time() : 0;
   result.packets_delivered = network.packets_delivered();
-
-  switch (system) {
+  switch (system_) {
     case SystemKind::kVedrfolnir:
-      result.diagnosis = vedr->diagnose();
+      result.diagnosis = vedr_->diagnose();
       break;
     case SystemKind::kHawkeyeMaxR:
     case SystemKind::kHawkeyeMinR:
-      result.diagnosis = hawkeye->diagnose();
+      result.diagnosis = hawkeye_->diagnose();
       break;
     case SystemKind::kFullPolling:
-      result.diagnosis = full->diagnose();
+      result.diagnosis = full_->diagnose();
       break;
   }
-  if (spec.type == ScenarioType::kFlowContention || spec.type == ScenarioType::kIncast) {
-    const auto verified = detail::verified_contenders(network, runner.plan(), spec);
-    result.outcome = score_case(spec, result.diagnosis, &verified);
-  } else {
-    const bool impacted = detail::pfc_impacted_collective(network, runner.plan(), spec);
-    result.outcome = score_case(spec, result.diagnosis, nullptr, &impacted);
-  }
 
-  const auto& stats = network.stats();
+  const auto& stats = network.stats();  // sharded: domain 0 holds the merged registry
   result.telemetry_bytes = stats.counter("overhead.telemetry_bytes");
   result.bandwidth_bytes = stats.counter("overhead.bandwidth_bytes");
   result.poll_bytes = stats.counter("overhead.poll_bytes");
@@ -241,8 +275,37 @@ CaseResult run_case(const ScenarioSpec& spec, SystemKind system, const RunConfig
   // their footprint. Observation only — never folded into run_case_digest.
   for (net::NodeId sw_id : network.switches())
     result.telemetry_state_bytes += network.switch_at(sw_id).telem().state_bytes();
-  if (cfg.capture_metrics)
+  if (capture_metrics_)
     result.metrics = std::make_shared<const obs::MetricsSnapshot>(obs::snapshot(stats));
+  if (capture_shard_report_ && engine_ != nullptr) {
+    auto report = std::make_shared<sim::ShardReport>();
+    engine_->fill_report(*report);
+    network.fill_shard_report(*report);
+    result.shard_report = std::move(report);
+  }
+  return result;
+}
+
+CaseResult run_case(const ScenarioSpec& spec, SystemKind system, const RunConfig& cfg) {
+  VEDR_SPAN("eval", "run_case");
+  Case c(net::make_fat_tree(cfg.fat_tree_k, cfg.netcfg),
+         collective::CollectivePlan::ring(0, collective::OpType::kAllGather, spec.participants,
+                                          spec.cc_step_bytes),
+         system, cfg, spec.horizon);
+  for (const auto& f : spec.bg_flows) anomaly::inject_flow(c.network(), f);
+  for (const auto& s : spec.storms) anomaly::inject_storm(c.network(), s);
+
+  CaseResult result = c.run(spec.horizon * 4);
+  result.scenario = spec.type;
+  result.case_id = spec.case_id;
+  const collective::CollectivePlan& plan = c.runner().plan();
+  if (spec.type == ScenarioType::kFlowContention || spec.type == ScenarioType::kIncast) {
+    const auto verified = verified_contenders(c.network(), plan, spec);
+    result.outcome = score_case(spec, result.diagnosis, &verified);
+  } else {
+    const bool impacted = pfc_impacted_collective(c.network(), plan, spec);
+    result.outcome = score_case(spec, result.diagnosis, nullptr, &impacted);
+  }
   return result;
 }
 
@@ -303,66 +366,42 @@ CaseResult record_case(const ScenarioSpec& spec, SystemKind system, const RunCon
   return result;
 }
 
-namespace {
-
-/// The packet-event fold shared by both digest lanes.
-void mix_trace_event(common::Digest& digest, const net::TraceEvent& ev) {
-  digest.mix(static_cast<std::uint64_t>(ev.kind))
-      .mix(ev.time)
-      .mix(ev.node)
-      .mix(ev.port)
-      .mix(static_cast<std::uint64_t>(ev.pkt_type))
-      .mix(ev.flow.hash())
-      .mix(ev.seq)
-      .mix(ev.size);
-}
-
-}  // namespace
-
 std::uint64_t run_case_digest(const ScenarioSpec& spec, SystemKind system, RunConfig cfg) {
-  if (cfg.shards > 1) {
-    // The parallel lane: one streaming digest per domain (a domain's packet
-    // events are totally ordered by its own simulator), combined in domain
-    // order, then the shared output fold. Pinned separately from the serial
-    // lane, and identical for any shard count — the domain decomposition is
-    // a pure function of the topology.
-    struct DomainLane {
-      common::Digest digest;
-      net::PacketTracer tracer{1};
-    };
-    std::vector<std::unique_ptr<DomainLane>> lanes;
-    cfg.domain_tracer_factory = [&lanes](int domain, int num_domains) {
-      (void)num_domains;
-      VEDR_CHECK_EQ(static_cast<std::size_t>(domain), lanes.size(),
-                    "domains must be attached in order");
-      lanes.push_back(std::make_unique<DomainLane>());
-      DomainLane& lane = *lanes.back();
-      lane.tracer.set_sink(
-          [&lane](const net::TraceEvent& ev) { mix_trace_event(lane.digest, ev); });
-      return &lane.tracer;
-    };
-
-    const CaseResult result = run_case(spec, system, cfg);
-
+  // One streaming digest per domain (a domain's packet events are totally
+  // ordered by its own simulator); the serial engine is the one-domain case.
+  // Capacity 1 keeps each tracer's ring buffer from holding the (possibly
+  // multi-million-event) stream in memory.
+  struct DomainLane {
     common::Digest digest;
-    digest.mix(static_cast<std::uint64_t>(lanes.size()));
-    for (const auto& lane : lanes) digest.mix(lane->digest.value());
-    detail::fold_case_outputs(digest, result);
-    return digest.value();
-  }
-
-  common::Digest digest;
-
-  // Stream every packet event into the digest as it happens: capacity 1 keeps
-  // the tracer's ring buffer from holding the (possibly multi-million-event)
-  // stream in memory.
-  net::PacketTracer tracer(1);
-  tracer.set_sink([&digest](const net::TraceEvent& ev) { mix_trace_event(digest, ev); });
-  cfg.tracer = &tracer;
+    net::PacketTracer tracer{1};
+  };
+  std::vector<std::unique_ptr<DomainLane>> lanes;
+  cfg.domain_tracer_factory = [&lanes](int domain, int num_domains) {
+    (void)num_domains;
+    VEDR_CHECK_EQ(static_cast<std::size_t>(domain), lanes.size(),
+                  "domains must be attached in order");
+    lanes.push_back(std::make_unique<DomainLane>());
+    DomainLane& lane = *lanes.back();
+    lane.tracer.set_sink(
+        [&lane](const net::TraceEvent& ev) { mix_trace_event(lane.digest, ev); });
+    return &lane.tracer;
+  };
 
   const CaseResult result = run_case(spec, system, cfg);
 
-  detail::fold_case_outputs(digest, result);
+  common::Digest digest;
+  if (cfg.shards > 1) {
+    // The parallel lane: the domain count, then the domain digests in domain
+    // order. Pinned separately from the serial lane, and identical for any
+    // shard count — the domain decomposition is a pure function of the
+    // topology.
+    digest.mix(static_cast<std::uint64_t>(lanes.size()));
+    for (const auto& lane : lanes) digest.mix(lane->digest.value());
+  } else {
+    // The serial lane continues the one domain's stream digest.
+    digest = lanes.front()->digest;
+  }
+  fold_case_outputs(digest, result);
   return digest.value();
 }
 

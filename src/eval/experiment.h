@@ -2,10 +2,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "collective/plan.h"
 #include "core/detection.h"
 #include "core/diagnosis.h"
 #include "eval/metrics.h"
@@ -13,20 +15,33 @@
 #include "net/types.h"
 
 namespace vedr::net {
+class Network;
 class PacketTracer;
-}
+}  // namespace vedr::net
+
+namespace vedr::collective {
+class CollectiveRunner;
+}  // namespace vedr::collective
+
+namespace vedr::baselines {
+class FullPolling;
+class Hawkeye;
+}  // namespace vedr::baselines
 
 namespace vedr::core {
 class TraceTap;
-}
+class Vedrfolnir;
+}  // namespace vedr::core
 
 namespace vedr::obs {
 struct MetricsSnapshot;
 }
 
 namespace vedr::sim {
+class ShardedEngine;
+class Simulator;
 struct ShardReport;
-}
+}  // namespace vedr::sim
 
 namespace vedr::eval {
 
@@ -45,10 +60,6 @@ struct RunConfig {
   core::DetectionConfig detection;  ///< Vedrfolnir knobs (swept in Figs. 12/13)
   sim::Tick full_poll_interval = 100 * sim::kMicrosecond;
   double hawkeye_multiplier = 1.2;
-  /// Optional packet tracer attached to the run's Network (observation only;
-  /// must not change behavior). Used by the determinism checker to digest
-  /// the complete packet-event stream.
-  net::PacketTracer* tracer = nullptr;
   /// Optional trace tap (normally a replay::TraceWriter) mirroring the
   /// diagnosis plane's full input stream to a .vtrc file. Observation only:
   /// a recorded run must produce the same determinism digest as an
@@ -63,16 +74,17 @@ struct RunConfig {
   /// Worker threads for the sharded engine (DESIGN.md §14). 1 (default)
   /// runs the serial engine, byte-identical to the pre-sharding code. N > 1
   /// runs the conservative parallel engine: Vedrfolnir system only, and
-  /// incompatible with `tracer`/`trace_writer` (attach per-domain tracers
-  /// via domain_tracer_factory instead). Results are identical for any
+  /// incompatible with `trace_writer`. Results are identical for any
   /// N >= 2 — the domain decomposition is fixed by the topology; N only
   /// picks how many threads execute it.
   int shards = 1;
   /// Radix of the fat-tree fabric run_case builds (the paper's K).
   int fat_tree_k = 4;
-  /// Sharded runs only: called once per domain on the main thread before
-  /// the engine starts, to attach a per-domain packet tracer (the parallel
-  /// digest lane). Return nullptr for no tracer on that domain.
+  /// Optional packet tracers (observation only; must not change behavior):
+  /// called once per domain on the main thread before the run starts, to
+  /// attach that domain's tracer. The serial engine is one domain, so it
+  /// sees factory(0, 1). Return nullptr for no tracer on that domain. The
+  /// determinism digest uses this to fold the complete packet-event stream.
   std::function<net::PacketTracer*(int domain, int num_domains)> domain_tracer_factory;
   /// Sharded runs only: collect the end-of-run ShardReport (barrier-wait
   /// timing per worker, per-domain events/window, handoff lane stats) into
@@ -108,6 +120,49 @@ struct CaseResult {
   std::shared_ptr<const obs::MetricsSnapshot> metrics;
   /// Set iff RunConfig::capture_shard_report on a sharded run.
   std::shared_ptr<const sim::ShardReport> shard_report;
+};
+
+/// One case, assembled and run once: the event engine, the fabric, a
+/// collective runner over `plan`, and one diagnosis system. Every caller —
+/// run_case, the extension benches, the examples — builds its case here.
+///
+/// The engine is the serial Simulator, or the ShardedEngine over the
+/// topology's ShardPlan when cfg.shards > 1 and the topology partitions
+/// (Vedrfolnir only, no trace_writer). Between construction and run() the
+/// caller may edit the fabric (pin or override routes, inject flows, storms
+/// or routing loops, schedule probes); scheduling order is construction
+/// order, so edits land after the system's own start-up events.
+class Case {
+ public:
+  /// `poll_until` bounds Full Polling's sweeps (other systems ignore it).
+  Case(const net::Topology& topo, collective::CollectivePlan plan, SystemKind system,
+       const RunConfig& cfg = {}, sim::Tick poll_until = std::numeric_limits<sim::Tick>::max());
+  ~Case();
+  Case(const Case&) = delete;
+  Case& operator=(const Case&) = delete;
+
+  net::Network& network() { return *network_; }
+  collective::CollectiveRunner& runner() { return *runner_; }
+  /// The Vedrfolnir system; the case must have been built with kVedrfolnir.
+  core::Vedrfolnir& vedrfolnir();
+
+  /// Starts the collective at t = 0, runs until the queue drains or `until`
+  /// passes, merges per-domain stats and diagnoses. Fills every CaseResult
+  /// field except the scenario, case id and score (the caller's spec owns
+  /// those). Call once.
+  CaseResult run(sim::Tick until = std::numeric_limits<sim::Tick>::max());
+
+ private:
+  SystemKind system_;
+  bool capture_metrics_;
+  bool capture_shard_report_;
+  std::unique_ptr<sim::Simulator> sim_;         ///< serial engine
+  std::unique_ptr<sim::ShardedEngine> engine_;  ///< or the sharded one
+  std::unique_ptr<net::Network> network_;
+  std::unique_ptr<collective::CollectiveRunner> runner_;
+  std::unique_ptr<core::Vedrfolnir> vedr_;
+  std::unique_ptr<baselines::Hawkeye> hawkeye_;
+  std::unique_ptr<baselines::FullPolling> full_;
 };
 
 /// Builds the paper's fabric, runs one case under one system, diagnoses,

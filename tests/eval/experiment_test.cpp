@@ -130,7 +130,7 @@ TEST(Experiment, TracerObservationDoesNotChangeOutcome) {
   std::size_t seen = 0;
   tracer.set_sink([&seen](const net::TraceEvent&) { ++seen; });
   RunConfig cfg = tiny_config();
-  cfg.tracer = &tracer;
+  cfg.domain_tracer_factory = [&tracer](int, int) { return &tracer; };
   const auto traced = run_case(spec, SystemKind::kVedrfolnir, cfg);
 
   EXPECT_GT(seen, 0u);
