@@ -30,10 +30,14 @@ namespace {
 constexpr double kCorpusScale = 1.0 / 256.0;
 constexpr int kCorpusCase = 0;
 
+// The name is held inline, not by pointer: gtest prints an unprintable
+// param as its raw bytes into the test ID, so a pointer would put an
+// ASLR-randomised address into every test name.
 struct CorpusEntry {
-  const char* name;
+  char name[15];
   eval::ScenarioType type;
 };
+static_assert(sizeof(CorpusEntry) == 16);
 
 const CorpusEntry kCorpus[] = {
     {"contention", eval::ScenarioType::kFlowContention},
