@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,21 +60,25 @@ class BenchReport {
   obs::JsonWriter w_;
 };
 
-/// Cases per scenario: VEDR_CASES=paper reproduces the paper's 60/60/40/60;
-/// VEDR_CASES=<n> forces n; default is a CI-friendly subset. A value that is
-/// neither "paper" nor a positive integer aborts — atoi's silent 0 would
-/// quietly run the default instead of what was asked.
-inline int cases_for(eval::ScenarioType type, int default_cases = 20) {
-  if (const auto env = common::env_str("VEDR_CASES")) {
-    if (*env == "paper") return eval::paper_case_count(type);
-    const int n = static_cast<int>(common::parse_i64_or_die("VEDR_CASES", *env));
-    if (n <= 0) {
-      std::fprintf(stderr, "error: VEDR_CASES: must be positive or \"paper\": %s\n", env->c_str());
-      std::exit(2);
-    }
-    return n;
+/// A positive integer from env var `name`; `def` when unset. Anything else
+/// aborts — atoi's silent 0 (or "5x" read as 5) would quietly run something
+/// other than what was asked.
+inline int positive_int_from_env(const char* name, int def) {
+  const auto env = common::env_str(name);
+  if (!env) return def;
+  const std::int64_t n = common::parse_i64_or_die(name, *env);
+  if (n <= 0 || n > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "error: %s: must be a positive integer: %s\n", name, env->c_str());
+    std::exit(2);
   }
-  return std::min(default_cases, eval::paper_case_count(type));
+  return static_cast<int>(n);
+}
+
+/// Cases per scenario: VEDR_CASES=paper reproduces the paper's 60/60/40/60;
+/// VEDR_CASES=<n> forces n; default is a CI-friendly subset.
+inline int cases_for(eval::ScenarioType type, int default_cases = 20) {
+  if (common::env_str("VEDR_CASES") == "paper") return eval::paper_case_count(type);
+  return positive_int_from_env("VEDR_CASES", std::min(default_cases, eval::paper_case_count(type)));
 }
 
 /// Workload scale (fraction of the paper's 360 MB steps); VEDR_SCALE

@@ -6,24 +6,15 @@
 //
 // Env: VEDR_CASES (cases per type, default 10).
 #include <cstdio>
-#include <cstdlib>
 
 #include "anomaly/injectors.h"
+#include "bench_util.h"
 #include "eval/experiment.h"
 #include "sim/rng.h"
 
 namespace {
 
 using namespace vedr;
-
-int cases_from_env() {
-  const char* env = std::getenv("VEDR_CASES");
-  if (env != nullptr) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 10;
-}
 
 std::vector<net::NodeId> sample_hosts(sim::Rng& rng, const net::Topology& topo, int n) {
   auto hosts = topo.hosts();
@@ -113,7 +104,7 @@ bool run_imbalance_case(int id) {
 }  // namespace
 
 int main() {
-  const int n = cases_from_env();
+  const int n = bench::positive_int_from_env("VEDR_CASES", 10);
   std::printf("=== Extension anomalies: detection rate over %d seeded cases each ===\n\n", n);
 
   struct Row {

@@ -8,8 +8,8 @@
 //  collective-level scores R(bf) (Eq. 3) — BF2, five times larger, must
 //  dominate BF1, mirroring the paper's 104,095 vs 698.
 //
-// Env: VEDR_SCALE. Writes DOT files next to the binary: fig14_waiting.dot,
-// fig14_provenance.dot.
+// Env: VEDR_SCALE. Writes DOT files to the working directory: fig14_waiting.dot,
+// fig14_provenance.dot (committed copies live in results/).
 #include <cstdio>
 #include <fstream>
 

@@ -33,6 +33,8 @@ const char* to_string(EventKind k) {
   return "?";
 }
 
+EventQueue::EventQueue() : buckets_(static_cast<std::size_t>(kWheelSpan)) {}
+
 std::uint32_t EventQueue::acquire_slot() {
   if (!free_.empty()) {
     const std::uint32_t slot = free_.back();
@@ -45,7 +47,7 @@ std::uint32_t EventQueue::acquire_slot() {
 
 void EventQueue::reclaim_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
-  s.live = false;
+  s.tier = Tier::kFree;
   ++s.gen;                // invalidate outstanding EventIds for this slot
   s.fn = nullptr;         // release any closure (and its captures) now
   s.payload = EventPayload{};
@@ -53,11 +55,60 @@ void EventQueue::reclaim_slot(std::uint32_t slot) {
 }
 
 EventId EventQueue::push(Tick at, std::uint32_t slot) {
+  // A bucket is addressed by `at` modulo the span relative to the last pop;
+  // an earlier time would land in a bucket of a later tick and misorder.
+  VEDR_CHECK_GE(at, last_pop_time_, "event scheduled before the last popped time");
+  const std::uint64_t seq = next_seq_++;
+  if (at - last_pop_time_ < kWheelSpan) {
+    wheel_push(at, seq, slot);
+  } else {
+    slots_[slot].tier = Tier::kHeap;
+    heap_.push_back(HeapItem{at, seq, slot});
+    sift_up(heap_.size() - 1);
+  }
+  return make_id(slot, slots_[slot].gen);
+}
+
+void EventQueue::wheel_push(Tick at, std::uint64_t seq, std::uint32_t slot) {
+  const std::uint32_t b = bucket_of(at);
+  Bucket& bucket = buckets_[b];
   Slot& s = slots_[slot];
-  s.live = true;
-  heap_.push_back(HeapItem{at, next_seq_++, slot});
-  sift_up(heap_.size() - 1);
-  return make_id(slot, s.gen);
+  s.tier = Tier::kWheel;
+  s.at = at;
+  s.seq = seq;
+  s.next = kNil;
+  s.prev = bucket.tail;
+  if (bucket.tail == kNil) {
+    bucket.head = slot;
+    bits_[b >> 6] |= std::uint64_t{1} << (b & 63);
+    summary_ |= std::uint64_t{1} << (b >> 6);
+  } else {
+    slots_[bucket.tail].next = slot;
+  }
+  bucket.tail = slot;
+  ++wheel_size_;
+}
+
+void EventQueue::wheel_unlink(std::uint32_t slot) {
+  const Slot& s = slots_[slot];
+  const std::uint32_t b = bucket_of(s.at);
+  Bucket& bucket = buckets_[b];
+  if (s.prev == kNil) {
+    bucket.head = s.next;
+  } else {
+    slots_[s.prev].next = s.next;
+  }
+  if (s.next == kNil) {
+    bucket.tail = s.prev;
+  } else {
+    slots_[s.next].prev = s.prev;
+  }
+  if (bucket.head == kNil) {
+    std::uint64_t& word = bits_[b >> 6];
+    word &= ~(std::uint64_t{1} << (b & 63));
+    if (word == 0) summary_ &= ~(std::uint64_t{1} << (b >> 6));
+  }
+  --wheel_size_;
 }
 
 EventId EventQueue::schedule_event(Tick at, EventKind kind, const EventPayload& payload) {
@@ -82,8 +133,12 @@ bool EventQueue::cancel(EventId id) {
   const std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
   if (slot >= slots_.size()) return false;
   Slot& s = slots_[slot];
-  if (!s.live || s.gen != gen) return false;  // already fired or cancelled
-  heap_remove(s.heap_pos);
+  if (s.tier == Tier::kFree || s.gen != gen) return false;  // already fired or cancelled
+  if (s.tier == Tier::kWheel) {
+    wheel_unlink(slot);
+  } else {
+    heap_remove(s.heap_pos);
+  }
   reclaim_slot(slot);
   return true;
 }
@@ -98,8 +153,16 @@ void EventQueue::set_handler(EventKind kind, EventHandler fn) {
 }
 
 Tick EventQueue::run_next() {
-  VEDR_CHECK(!heap_.empty(), "run_next() on an empty event queue (scheduled=", next_seq_, ")");
-  const HeapItem top = heap_.front();
+  VEDR_CHECK(!empty(), "run_next() on an empty event queue (scheduled=", next_seq_, ")");
+  // The earlier of the wheel front and the heap top, by (at, seq).
+  HeapItem top;
+  bool from_wheel = false;
+  if (wheel_size_ != 0) {
+    const std::uint32_t head = buckets_[wheel_front()].head;
+    top = HeapItem{slots_[head].at, slots_[head].seq, head};
+    from_wheel = heap_.empty() || earlier(top, heap_.front());
+  }
+  if (!from_wheel) top = heap_.front();
   // Time must never run backwards, and equal-time events must pop in
   // schedule order — the determinism contract every model relies on.
   if (has_popped_) {
@@ -113,7 +176,11 @@ Tick EventQueue::run_next() {
   last_pop_time_ = top.at;
   last_pop_seq_ = top.seq;
 
-  heap_remove(0);
+  if (from_wheel) {
+    wheel_unlink(top.slot);
+  } else {
+    heap_remove(0);
+  }
   Slot& s = slots_[top.slot];
   const EventKind kind = s.kind;
   const EventPayload payload = s.payload;

@@ -124,6 +124,69 @@ TEST(EventQueue, SameTickTieBreakSurvivesInterleavedScheduling) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
+TEST(EventQueue, FarEventBeatsSameTickWheelEventScheduledLater) {
+  // An event scheduled while its tick was beyond the wheel sits in the heap;
+  // once the clock moves closer, a later event at the same tick goes to the
+  // wheel. The older (far) event must still fire first.
+  constexpr Tick kAt = EventQueue::kWheelSpan + 10;
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule_callback(kAt, [&] { order.push_back(0); });
+  EXPECT_EQ(q.far_size(), 1u);
+  q.schedule_callback(20, [&] {
+    q.schedule_callback(kAt, [&] { order.push_back(1); });
+    q.schedule_callback(kAt, [&] { order.push_back(2); });
+  });
+  q.run_next();
+  EXPECT_EQ(q.far_size(), 1u) << "the same-tick events scheduled at t=20 belong in the wheel";
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.next_time(), kAt);
+  while (!q.empty()) EXPECT_EQ(q.run_next(), kAt);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(EventQueue, CancelInEitherTierThenReuseTheSlot) {
+  for (const Tick at : {Tick{7}, 3 * EventQueue::kWheelSpan}) {
+    SCOPED_TRACE(at);
+    EventQueue q;
+    const bool far = at >= EventQueue::kWheelSpan;
+    const EventId id = q.schedule_callback(at, [] { FAIL() << "cancelled event ran"; });
+    EXPECT_EQ(q.far_size(), far ? 1u : 0u);
+    EXPECT_TRUE(q.cancel(id));
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.far_size(), 0u);
+    EXPECT_EQ(q.next_time(), kNever);
+
+    // The freed slot is reused, in the same tier or the other one; the stale
+    // handle must not reach the new occupant.
+    const std::size_t pool = q.pool_capacity();
+    int ran = 0;
+    const EventId near_id = q.schedule_callback(5, [&] { ++ran; });
+    EXPECT_EQ(q.pool_capacity(), pool);
+    EXPECT_FALSE(q.cancel(id));
+    q.schedule_callback(2 * EventQueue::kWheelSpan, [&] { ran += 10; });
+    EXPECT_EQ(q.far_size(), 1u);
+    EXPECT_EQ(q.size(), 2u);
+    EXPECT_EQ(q.next_time(), 5);
+    EXPECT_TRUE(q.cancel(near_id));
+    EXPECT_EQ(q.next_time(), 2 * EventQueue::kWheelSpan);
+    while (!q.empty()) q.run_next();
+    EXPECT_EQ(ran, 10);
+  }
+}
+
+TEST(EventQueue, ScheduleBeforeLastPopFiresCheck) {
+  // A time before the last pop would land in a wheel bucket that now stands
+  // for a later tick and fire out of order, so it is refused outright.
+  EventQueue q;
+  q.schedule_callback(100, [] {});
+  q.run_next();
+  q.schedule_callback(100, [] {});  // the popped tick itself is fine
+  common::ScopedThrowOnCheckFailure guard;
+  EXPECT_THROW(q.schedule_callback(99, [] {}), common::CheckFailure);
+  EXPECT_THROW(q.schedule_event(0, EventKind::kStepPoll, {}), common::CheckFailure);
+}
+
 TEST(EventQueue, IdenticalSchedulesReplayIdentically) {
   auto run_once = [] {
     EventQueue q;

@@ -2,7 +2,9 @@
 // scheduler: thousands of interleaved schedule/cancel/pop operations, driven
 // by a seeded RNG, must produce the identical firing sequence (time AND
 // schedule order) and identical size() at every step. The reference is a
-// plain sorted vector — too slow to ship, trivially correct.
+// plain sorted vector — too slow to ship, trivially correct. Delays are drawn
+// both well inside the wheel and around its span, so events land in both
+// tiers and the wheel wraps many times over a run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -59,7 +61,29 @@ struct LiveEvent {
   std::uint64_t seq;  ///< reference handle (also its identity in `fired`)
 };
 
-void run_model_check(std::uint64_t seed, int ops) {
+/// Delays well inside the wheel only: every event stays in the near tier.
+Tick near_delay(std::mt19937_64& rng) { return static_cast<Tick>(rng() % 64); }
+
+/// Delays at and around the wheel span, plus some far beyond it: events split
+/// across both tiers, same-tick ties form between a far event and later wheel
+/// events, and the popped clock sweeps through the wheel many times.
+Tick span_delay(std::mt19937_64& rng) {
+  constexpr Tick kSpan = EventQueue::kWheelSpan;
+  switch (rng() % 8) {
+    case 0: return 0;
+    case 1: return kSpan - 1;
+    case 2: return kSpan;
+    case 3: return kSpan + 1;
+    case 4: return 50 * kSpan + static_cast<Tick>(rng() % (4 * kSpan));
+    case 5: return static_cast<Tick>(rng() % (2 * kSpan));
+    default: return static_cast<Tick>(rng() % 64);
+  }
+}
+
+/// Runs `ops` random operations, then drains; `last_pop` receives the clock
+/// the operations left before the drain.
+void run_model_check(std::uint64_t seed, int ops, Tick (*delay)(std::mt19937_64&) = near_delay,
+                     Tick* last_pop = nullptr) {
   std::mt19937_64 rng(seed);
   EventQueue q;
   ReferenceQueue ref;
@@ -79,7 +103,7 @@ void run_model_check(std::uint64_t seed, int ops) {
     const int dice = static_cast<int>(rng() % 100);
     if (dice < 50 || live.empty()) {
       // Schedule (half typed, half callback — both share the seq counter).
-      const Tick at = clock + static_cast<Tick>(rng() % 64);
+      const Tick at = clock + delay(rng);
       const std::uint64_t seq = ref.schedule(at);
       EventId id;
       if (rng() % 2 == 0) {
@@ -115,6 +139,8 @@ void run_model_check(std::uint64_t seed, int ops) {
     ASSERT_EQ(q.empty(), ref.empty());
   }
 
+  if (last_pop != nullptr) *last_pop = clock;
+
   // Drain: remaining events must come out in identical order.
   while (!ref.empty()) {
     const std::size_t before = fired.size();
@@ -131,6 +157,16 @@ TEST(SchedulerModelCheck, ThousandsOfInterleavedOpsMatchReference) {
 
 TEST(SchedulerModelCheck, MultipleSeeds) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) run_model_check(seed * 7919, 1500);
+}
+
+TEST(SchedulerModelCheck, DelaysAroundTheWheelSpanMatchReference) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Tick clock = 0;
+    run_model_check(seed * 104729, 6000, span_delay, &clock);
+    // The popped clock must have lapped the wheel many times while events
+    // were live, or the run never reused buckets for later ticks.
+    EXPECT_GT(clock, 20 * EventQueue::kWheelSpan) << "seed " << seed;
+  }
 }
 
 TEST(SchedulerModelCheck, SameSeedSameFiringOrder) {

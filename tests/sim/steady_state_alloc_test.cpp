@@ -14,11 +14,13 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "collective/plan.h"
 #include "collective/runner.h"
 #include "net/network.h"
 #include "net/topology.h"
+#include "sim/event_queue.h"
 #include "sim/simulator.h"
 
 // The override must not exist under sanitizers: their runtimes interpose the
@@ -106,6 +108,43 @@ TEST(SteadyStateAlloc, CongestedDcqcnWorkloadAllocatesNothing) {
   EXPECT_EQ(g_allocs.load(), 0u)
       << "steady-state hot path allocated (" << g_allocs.load() << " allocations over "
       << executed << " events)";
+}
+
+void noop_handler(const sim::EventPayload&) {}
+
+TEST(SteadyStateAlloc, EventQueueChurnAcrossBothTiersAllocatesNothing) {
+  // Typed schedule/cancel/pop churn with delays inside the wheel, at its edge
+  // and far past it: once the slot pool, free list and far-tier heap have
+  // reached their high-water marks, neither tier may allocate.
+  constexpr sim::Tick kSpan = sim::EventQueue::kWheelSpan;
+  constexpr sim::Tick kDelays[] = {0, 1, 700, kSpan - 1, kSpan, kSpan + 1, 40 * kSpan};
+  sim::EventQueue q;
+  q.set_handler(sim::EventKind::kPollSweep, &noop_handler);
+  std::vector<sim::EventId> pending(64, 0);
+  sim::Tick now = 0;
+  std::size_t far_seen = 0;
+  auto churn = [&](int rounds) {
+    for (int i = 0; i < rounds; ++i) {
+      const auto k = static_cast<std::size_t>(i);
+      const sim::Tick at = now + kDelays[k % std::size(kDelays)];
+      q.cancel(pending[k % pending.size()]);  // stale or live: both are fine
+      pending[k % pending.size()] = q.schedule_event(at, sim::EventKind::kPollSweep, {});
+      if (q.far_size() > far_seen) far_seen = q.far_size();
+      if (i % 3 == 0) now = q.run_next();
+    }
+  };
+  churn(20'000);  // warm-up: grow every pool to its high-water mark
+  ASSERT_GT(far_seen, 0u) << "the churn never reached the far tier";
+  ASSERT_GT(now, 20 * kSpan) << "the churn never lapped the wheel many times";
+
+  g_allocs.store(0);
+  g_counting.store(true);
+  churn(20'000);
+  g_counting.store(false);
+  if (kSanitized) {
+    GTEST_SKIP() << "allocation counting is not meaningful under sanitizers";
+  }
+  EXPECT_EQ(g_allocs.load(), 0u) << "warm event-queue churn allocated";
 }
 
 }  // namespace
