@@ -8,7 +8,9 @@
 // the live Table-I waiting states plus the final diagnosis.
 //
 // Build & run:  ./build/examples/halving_doubling_monitor
+#include <array>
 #include <cstdio>
+#include <functional>
 
 #include "anomaly/injectors.h"
 #include "collective/runner.h"
@@ -49,10 +51,12 @@ int main() {
   const net::FlowKey bg = anomaly::background_key(0, 1, participants[3]);
   anomaly::inject_flow(network, {bg, 48 << 20, 300 * sim::kMicrosecond});
 
-  // Sample the Table-I waiting states mid-run.
+  // Sample the Table-I waiting states mid-run. The samplers live here; each
+  // kHook event carries only the address of one.
   std::printf("\nlive waiting states (W=waiting, n=non-waiting, F=finished):\n");
+  std::array<std::function<void()>, 8> samplers;
   for (int i = 1; i <= 8; ++i) {
-    network.sim().schedule_at(i * 200 * sim::kMicrosecond, [&runner, i] {
+    samplers[static_cast<std::size_t>(i - 1)] = [&runner, i] {
       std::printf("  t=%4dus:", i * 200);
       for (int f = 0; f < runner.plan().num_flows(); ++f) {
         const auto st = runner.queues(f).state();
@@ -61,7 +65,9 @@ int main() {
                                : (st == collective::WaitState::kFinished ? 'F' : 'n'));
       }
       std::printf("\n");
-    });
+    };
+    network.sim().schedule_event_at(i * 200 * sim::kMicrosecond, sim::EventKind::kHook,
+                                    {&samplers[static_cast<std::size_t>(i - 1)], 0, 0});
   }
 
   const eval::CaseResult result = c.run();

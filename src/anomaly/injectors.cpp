@@ -9,21 +9,34 @@
 
 namespace vedr::anomaly {
 
+namespace {
+
+/// kRouteChange: payload {network, a << 32 | b, dst} — point a's and b's
+/// routes for dst at each other.
+void on_route_change(const sim::EventPayload& p) {
+  auto& net = *static_cast<net::Network*>(p.obj);
+  const auto a = static_cast<NodeId>(static_cast<std::uint32_t>(p.a >> 32));
+  const auto b = static_cast<NodeId>(static_cast<std::uint32_t>(p.a));
+  const auto dst = static_cast<NodeId>(static_cast<std::uint32_t>(p.b));
+  net.routing().override_route(a, dst, {port_towards(net.topology(), a, b)});
+  net.routing().override_route(b, dst, {port_towards(net.topology(), b, a)});
+}
+
+}  // namespace
+
 void inject_flow(net::Network& net, const InjectedFlow& flow,
                  std::function<void(Tick)> on_complete) {
   VEDR_LOG_DEBUG("anomaly", "inject flow %s: %lld bytes at t=%lld", flow.key.str().c_str(),
                  static_cast<long long>(flow.bytes), static_cast<long long>(flow.start));
   net.host(flow.key.dst).expect_flow(flow.key, flow.bytes);
-  // Schedule on the domain that owns the source host so the trigger (and the
-  // flow state it creates) stays on that domain's simulator (serial: the one
-  // simulator — identical behavior).
-  net.sim_of(flow.key.src).schedule_at(flow.start, [&net, flow, cb = std::move(on_complete)] {
-    net.host(flow.key.src).start_flow(
-        flow.key, flow.bytes,
-        [cb](const net::FlowKey&, Tick t) {
-          if (cb) cb(t);
-        });
-  });
+  // The source host schedules the start on its own domain's simulator, so
+  // the trigger (and the flow state it creates) stays on that domain
+  // (serial: the one simulator).
+  net::Host::FlowDoneFn done;
+  if (on_complete) {
+    done = [cb = std::move(on_complete)](const net::FlowKey&, Tick t) { cb(t); };
+  }
+  net.host(flow.key.src).start_flow_at(flow.start, flow.key, flow.bytes, std::move(done));
 }
 
 net::PortId port_towards(const net::Topology& topo, NodeId from, NodeId to) {
@@ -39,12 +52,14 @@ void inject_routing_loop(net::Network& net, NodeId dst, NodeId a, NodeId b, Tick
   // The routing table is shared across domains; mutating it mid-run from one
   // domain would race with every other domain's forwarding decisions.
   VEDR_CHECK(!net.sharded(), "routing-loop injection is serial-only");
-  const net::PortId a_to_b = port_towards(net.topology(), a, b);
-  const net::PortId b_to_a = port_towards(net.topology(), b, a);
-  net.sim().schedule_at(at, [&net, dst, a, b, a_to_b, b_to_a] {
-    net.routing().override_route(a, dst, {a_to_b});
-    net.routing().override_route(b, dst, {b_to_a});
-  });
+  (void)port_towards(net.topology(), a, b);  // throws now, not at fire time
+  net.sim().set_handler(sim::EventKind::kRouteChange, &on_route_change);
+  net.sim().schedule_event_at(
+      at, sim::EventKind::kRouteChange,
+      {&net,
+       (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
+           static_cast<std::uint32_t>(b),
+       static_cast<std::uint32_t>(dst)});
 }
 
 void pin_clockwise_routes(net::Network& net, const std::vector<NodeId>& ring) {
@@ -62,9 +77,7 @@ void pin_clockwise_routes(net::Network& net, const std::vector<NodeId>& ring) {
 
 void inject_storm(net::Network& net, const StormSpec& storm) {
   // The target switch is resolved now rather than at fire time: the device
-  // table is fixed at Network construction, so the pointer stays valid and
-  // the trigger can ride a typed event (flow/routing injectors above keep
-  // the schedule_at closure escape hatch — they capture completion callbacks).
+  // table is fixed at Network construction, so the pointer stays valid.
   VEDR_LOG_DEBUG("anomaly", "inject PFC storm at %s: start=%lld duration=%lld",
                  storm.port.str().c_str(), static_cast<long long>(storm.start),
                  static_cast<long long>(storm.duration));

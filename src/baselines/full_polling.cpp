@@ -10,12 +10,17 @@ void on_poll_sweep(const sim::EventPayload& p) {
   static_cast<FullPolling*>(p.obj)->sweep();
 }
 
+void on_poll_report(const sim::EventPayload& p) {
+  static_cast<FullPolling*>(p.obj)->deliver_report();
+}
+
 }  // namespace
 
 FullPolling::FullPolling(net::Network& net, const collective::CollectivePlan& plan,
                          sim::Tick interval)
     : net_(net), analyzer_(&net.topology(), nullptr), interval_(interval) {
   net_.sim().set_handler(sim::EventKind::kPollSweep, &on_poll_sweep);
+  net_.sim().set_handler(sim::EventKind::kPollReport, &on_poll_report);
   std::unordered_set<net::FlowKey, net::FlowKeyHash> cc;
   for (int f = 0; f < plan.num_flows(); ++f)
     for (const auto& s : plan.steps_of_flow(f)) cc.insert(plan.key_for(f, s.step));
@@ -54,10 +59,13 @@ void FullPolling::sweep() {
     net_.stats().add_counter("overhead.telemetry_bytes", size);
     net_.stats().add_counter("overhead.bandwidth_bytes", size);
     net_.stats().add_counter("overhead.report_count");
-    net_.sim().schedule_in(net_.config().controller_delay,
-                           [this, r = std::move(report)] { analyzer_.on_switch_report(r); });
+    pending_reports_.push_back(std::move(report));
+    net_.sim().schedule_event_in(net_.config().controller_delay, sim::EventKind::kPollReport,
+                                 {this, 0, 0});
   }
   net_.sim().schedule_event_in(interval_, sim::EventKind::kPollSweep, {this, 0, 0});
 }
+
+void FullPolling::deliver_report() { analyzer_.on_switch_report(pending_reports_.pop_front()); }
 
 }  // namespace vedr::baselines

@@ -1,6 +1,7 @@
 #pragma once
 
 #include "collective/plan.h"
+#include "common/ring.h"
 #include "core/analyzer.h"
 #include "net/network.h"
 
@@ -22,9 +23,11 @@ class FullPolling {
   core::Analyzer& analyzer() { return analyzer_; }
   std::size_t sweeps() const { return sweeps_; }
 
-  // --- event-dispatch entry point (kPollSweep trampoline only) -------------
+  // --- event-dispatch entry points (kPollSweep / kPollReport trampolines) ---
 
   void sweep();
+  /// The oldest pending sweep report has crossed the controller delay.
+  void deliver_report();
 
  private:
 
@@ -34,6 +37,9 @@ class FullPolling {
   sim::Tick until_ = 0;
   std::size_t sweeps_ = 0;
   std::uint64_t sweep_seq_ = 0;
+  // Sweep reports in flight to the analyzer: one constant controller delay,
+  // so they arrive in emission order.
+  common::Ring<telemetry::SwitchReport> pending_reports_;
 };
 
 }  // namespace vedr::baselines

@@ -23,6 +23,7 @@ Monitor::Monitor(net::Network& net, const collective::CollectivePlan& plan, Inge
   net_.set_handler_all(sim::EventKind::kStepPoll, &on_step_poll);
   flow_index_ = plan_.flow_of_host(host);
   rtt_hist_ = net_.stats().hist_cell("monitor.rtt_ns");
+  rtt_samples_cell_ = net_.stats().counter_cell("monitor.rtt_samples");
 }
 
 void Monitor::on_step_start(const collective::StepRecord& r) {
@@ -131,7 +132,7 @@ void Monitor::send_notification(const collective::StepRecord& r) {
 
 void Monitor::on_rtt_sample(const net::FlowKey& flow, Tick rtt, std::uint32_t seq) {
   (void)seq;
-  net_.stats().add_counter("monitor.rtt_samples");
+  ++*rtt_samples_cell_;
   if (obs::metrics_enabled()) rtt_hist_->add(rtt);
   if (current_step_ < 0 || !(flow == current_key_)) return;
   last_activity_ = net_.sim().now();

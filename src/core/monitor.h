@@ -78,8 +78,11 @@ class Monitor {
   int watchdog_polls_this_step_ = 0;
   int watchdog_polls_ = 0;
 
-  // Per-ACK RTT distribution (interned cell, fed while obs::metrics_enabled()).
+  // Per-ACK stats, interned at construction like the switch's cells: a keyed
+  // add_counter would allocate its over-SSO name and take the registry lock
+  // on every ACK. The histogram is fed while obs::metrics_enabled().
   obs::Histogram* rtt_hist_ = nullptr;
+  std::int64_t* rtt_samples_cell_ = nullptr;
 };
 
 }  // namespace vedr::core

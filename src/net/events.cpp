@@ -40,6 +40,14 @@ void on_injector_trigger(const sim::EventPayload& p) {
                                            static_cast<Tick>(p.a));
 }
 
+void on_report_delivery(const sim::EventPayload& p) {
+  static_cast<Switch*>(p.obj)->deliver_report();
+}
+
+void on_flow_start(const sim::EventPayload& p) {
+  static_cast<Host*>(p.obj)->on_flow_start(static_cast<std::size_t>(p.a));
+}
+
 }  // namespace
 
 void register_net_event_handlers(sim::Simulator& sim) {
@@ -49,6 +57,8 @@ void register_net_event_handlers(sim::Simulator& sim) {
   sim.set_handler(sim::EventKind::kHostWakeup, &on_host_wakeup);
   sim.set_handler(sim::EventKind::kPfcResume, &on_pfc_resume);
   sim.set_handler(sim::EventKind::kInjectorTrigger, &on_injector_trigger);
+  sim.set_handler(sim::EventKind::kReportDelivery, &on_report_delivery);
+  sim.set_handler(sim::EventKind::kFlowStart, &on_flow_start);
 }
 
 }  // namespace vedr::net

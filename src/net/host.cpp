@@ -32,12 +32,25 @@ void Host::start_flow(const FlowKey& flow, std::int64_t bytes, FlowDoneFn on_com
   f.start_time = net_.sim().now();
   f.pacing_clock = net_.sim().now();
   f.on_complete = std::move(on_complete);
-  rr_order_.push_back(flow);
+  rr_order_.push_back(&f);
   if (obs::trace_enabled()) {
     obs::async_begin("net", "flow", flow.hash(), f.start_time,
                      static_cast<std::uint64_t>(bytes));
   }
   kick();
+}
+
+void Host::start_flow_at(Tick at, const FlowKey& flow, std::int64_t bytes,
+                         FlowDoneFn on_complete) {
+  pending_starts_.push_back(PendingStart{flow, bytes, std::move(on_complete)});
+  net_.sim_of(id_).schedule_event_at(
+      at, sim::EventKind::kFlowStart,
+      {this, static_cast<std::uint64_t>(pending_starts_.size() - 1), 0});
+}
+
+void Host::on_flow_start(std::size_t index) {
+  PendingStart start = std::move(pending_starts_[index]);
+  start_flow(start.key, start.bytes, std::move(start.on_complete));
 }
 
 void Host::expect_flow(const FlowKey& flow, std::int64_t bytes, FlowDoneFn on_complete) {
@@ -90,9 +103,7 @@ void Host::kick() {
   Tick earliest = sim::kNever;
   for (std::size_t i = 0; i < rr_order_.size(); ++i) {
     const std::size_t idx = (rr_pos_ + i) % rr_order_.size();
-    auto it = send_flows_.find(rr_order_[idx]);
-    if (it == send_flows_.end()) continue;
-    SendFlow& f = it->second;
+    SendFlow& f = *rr_order_[idx];
     if (f.sent_bytes >= f.total_bytes) continue;
     if (f.pacing_clock <= now) {
       rr_pos_ = (idx + 1) % rr_order_.size();
@@ -233,8 +244,8 @@ void Host::handle_ack(const Packet& pkt) {
     if (obs::trace_enabled()) obs::async_end("net", "flow", f.key.hash(), now);
     auto fn = std::move(f.on_complete);
     const FlowKey key = f.key;
+    rr_order_.erase(std::remove(rr_order_.begin(), rr_order_.end(), &f), rr_order_.end());
     send_flows_.erase(it);
-    rr_order_.erase(std::remove(rr_order_.begin(), rr_order_.end(), key), rr_order_.end());
     if (rr_pos_ >= rr_order_.size()) rr_pos_ = 0;
     if (fn) fn(key, now);
   }

@@ -39,6 +39,11 @@ class Host : public Device {
   /// last byte is ACKed.
   void start_flow(const FlowKey& flow, std::int64_t bytes, FlowDoneFn on_complete = {});
 
+  /// start_flow() at absolute time `at` (clamped to now) on this host's
+  /// simulator: the request waits here and a kFlowStart event fires it.
+  void start_flow_at(Tick at, const FlowKey& flow, std::int64_t bytes,
+                     FlowDoneFn on_complete = {});
+
   /// Registers the receive side: `on_complete` fires when all `bytes` of
   /// `flow` have arrived here.
   void expect_flow(const FlowKey& flow, std::int64_t bytes, FlowDoneFn on_complete = {});
@@ -74,6 +79,8 @@ class Host : public Device {
     has_pending_wakeup_ = false;
     kick();
   }
+  /// kFlowStart: start the flow start_flow_at() parked at `index`.
+  void on_flow_start(std::size_t index);
 
  private:
   struct SendFlow {
@@ -85,6 +92,12 @@ class Host : public Device {
     Tick pacing_clock = 0;  ///< earliest time the next packet may leave
     Tick start_time = 0;
     std::unique_ptr<CongestionControl> cc;  ///< DCQCN or Swift per NetConfig
+    FlowDoneFn on_complete;
+  };
+
+  struct PendingStart {
+    FlowKey key;
+    std::int64_t bytes = 0;
     FlowDoneFn on_complete;
   };
 
@@ -107,8 +120,11 @@ class Host : public Device {
   common::Ring<PacketRef> control_q_;  ///< pooled ACK/CNP/notification slots
   std::unordered_map<FlowKey, SendFlow, FlowKeyHash> send_flows_;
   std::unordered_map<FlowKey, RecvFlow, FlowKeyHash> recv_flows_;
-  std::vector<FlowKey> rr_order_;
+  // Round-robin order over send flows. unordered_map nodes never move, so
+  // kick() walks these pointers without a lookup per flow.
+  std::vector<SendFlow*> rr_order_;
   std::size_t rr_pos_ = 0;
+  std::vector<PendingStart> pending_starts_;  ///< start_flow_at requests by index
   sim::EventId pending_wakeup_ = 0;
   bool has_pending_wakeup_ = false;
 

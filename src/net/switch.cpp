@@ -445,10 +445,14 @@ void Switch::emit_report(telemetry::SwitchReport report) {
   net_.stats().add_counter("overhead.telemetry_bytes", size);
   net_.stats().add_counter("overhead.bandwidth_bytes", size);
   net_.stats().add_counter("overhead.report_count");
-  net_.sim().schedule_in(net_.config().controller_delay,
-                         [this, r = std::move(report)]() mutable {
-                           if (net_.report_sink()) net_.report_sink()->on_switch_report(r);
-                         });
+  pending_reports_.push_back(std::move(report));
+  net_.sim().schedule_event_in(net_.config().controller_delay, sim::EventKind::kReportDelivery,
+                               {this, 0, 0});
+}
+
+void Switch::deliver_report() {
+  const telemetry::SwitchReport report = pending_reports_.pop_front();
+  if (net_.report_sink()) net_.report_sink()->on_switch_report(report);
 }
 
 }  // namespace vedr::net

@@ -35,6 +35,9 @@ class Switch : public Device {
   void on_tx_done_ref(PacketRef ref, PortId out);
   /// kPfcResume: an injected pause on `port` expired.
   void on_forced_pause_expired(PortId port);
+  /// kReportDelivery: the oldest pending report has crossed the controller
+  /// delay; hand it to the report sink.
+  void deliver_report();
 
   // --- anomaly injection ---------------------------------------------------
 
@@ -111,6 +114,10 @@ class Switch : public Device {
   std::vector<std::vector<std::int64_t>> queued_from_;
   telemetry::SwitchTelemetry telem_;
   std::unordered_set<std::uint64_t> seen_polls_;
+  // Reports in flight to the analyzer. The controller delay is one constant,
+  // so they arrive in emission order and a FIFO pairs each kReportDelivery
+  // event with its report.
+  common::Ring<telemetry::SwitchReport> pending_reports_;
   std::mt19937_64 ecn_rng_;
   std::int64_t drops_ = 0;
   std::int64_t ttl_drops_ = 0;

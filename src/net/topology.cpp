@@ -48,11 +48,6 @@ int Topology::num_hosts() const {
   return n;
 }
 
-PortRef Topology::peer(NodeId node_id, PortId port_id) const {
-  const Port& p = port(node_id, port_id);
-  return PortRef{p.peer, p.peer_port};
-}
-
 Topology make_fat_tree(int k, const NetConfig& cfg) {
   if (k < 2 || k % 2 != 0) throw std::invalid_argument("fat-tree k must be even and >= 2");
   Topology topo;

@@ -41,10 +41,13 @@ class Topology {
   std::vector<NodeId> switches() const;
   int num_hosts() const;
 
-  /// Peer endpoint of (node, port).
-  PortRef peer(NodeId node, PortId port) const;
   const Port& port(NodeId node, PortId port_id) const {
     return nodes_.at(static_cast<std::size_t>(node)).ports.at(static_cast<std::size_t>(port_id));
+  }
+  /// Peer endpoint of (node, port).
+  PortRef peer(NodeId node, PortId port_id) const {
+    const Port& p = port(node, port_id);
+    return PortRef{p.peer, p.peer_port};
   }
 
  private:

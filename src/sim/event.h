@@ -10,13 +10,13 @@ namespace vedr::sim {
 /// event can never cancel an unrelated reuse of its slot.
 using EventId = std::uint64_t;
 
-/// The fixed taxonomy of engine events. The simulation data plane schedules
-/// only typed events (a compact POD payload dispatched through a registered
-/// handler — zero heap allocations in steady state); `kCallback` is the
-/// cold-path escape hatch (tests, one-shot injector glue, report delivery)
-/// that stores an arbitrary closure in the pooled slot.
+/// The fixed taxonomy of engine events. Every event is typed: a compact POD
+/// payload dispatched through the kind's registered handler, so a queue slot
+/// never owns a closure and scheduling never allocates in steady state.
+/// `kHook` is the one generic kind: its payload points at a caller-owned
+/// std::function<void()> (tests, examples), which must outlive the event.
 enum class EventKind : std::uint8_t {
-  kCallback = 0,     ///< pooled std::function — cold-path escape hatch
+  kHook = 0,         ///< caller-owned std::function<void()> at payload.obj
   kPacketDelivery,   ///< frame finished propagation; arrives at (device, port)
   kHostTxDone,       ///< host NIC finished serializing; its wire is free
   kSwitchTxDone,     ///< switch egress finished serializing; its wire is free
@@ -28,9 +28,13 @@ enum class EventKind : std::uint8_t {
   kPollSweep,        ///< full-polling baseline sweep tick
   kCollectiveStart,  ///< collective runner kickoff
   kInjectorTrigger,  ///< anomaly injector firing (e.g. PFC storm start)
+  kReportDelivery,   ///< a switch's oldest pending report reaches the analyzer
+  kPollReport,       ///< full-polling: the oldest pending sweep report arrives
+  kFlowStart,        ///< an injected flow's sender starts
+  kRouteChange,      ///< an injected routing loop takes effect
 };
 
-inline constexpr std::size_t kNumEventKinds = 12;
+inline constexpr std::size_t kNumEventKinds = 16;
 
 inline constexpr std::size_t index_of(EventKind k) {
   return static_cast<std::size_t>(k);

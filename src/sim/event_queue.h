@@ -3,9 +3,9 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "common/check.h"
 #include "common/thread_annotations.h"
 #include "sim/event.h"
 #include "sim/time.h"
@@ -22,8 +22,8 @@ namespace vedr::sim {
 ///     (a monotonic sequence number breaks ties — never addresses, never
 ///     hash order);
 ///   - cancel() truly removes the event: `size()`/`empty()` count live
-///     events only, and the slot (including any stored closure) is
-///     reclaimed immediately, not when a tombstone would have surfaced;
+///     events only, and the slot is reclaimed immediately, not when a
+///     tombstone would have surfaced;
 ///   - nothing is scheduled before the last popped time (a check).
 ///
 /// The two tiers keep that order by construction. A wheel bucket holds one
@@ -34,13 +34,12 @@ namespace vedr::sim {
 /// Packet-level models schedule almost everything a constant link delay
 /// ahead, so the heap stays small and most pops cost a few bit scans.
 ///
-/// Two scheduling paths share the pool:
-///   - schedule_event(): a typed event — EventKind plus a POD payload,
-///     dispatched through the kind's registered handler. The steady-state
-///     data plane uses only this path and performs zero heap allocations
-///     once the pool and heap have grown to the workload's high-water mark.
-///   - schedule_callback(): the cold-path escape hatch storing an arbitrary
-///     std::function in the slot (tests, injector glue, report delivery).
+/// One scheduling path: schedule_event() stores an EventKind plus a POD
+/// payload, dispatched through the kind's registered handler. A slot is one
+/// cache line and owns nothing, so scheduling performs zero heap allocations
+/// once the pool and heap have grown to the workload's high-water mark, and
+/// reclaiming a slot is a few stores. Closures (tests, examples) live with
+/// their owner and ride a kHook event that carries only their address.
 ///
 /// Threading contract: VEDR_SINGLE_THREADED — the queue (wheel, heap, slot
 /// pool, free list) is confined to the simulation thread that owns it. The
@@ -55,31 +54,50 @@ class VEDR_SINGLE_THREADED EventQueue {
 
   EventQueue();
 
-  EventId schedule_event(Tick at, EventKind kind, const EventPayload& payload);
-  EventId schedule_callback(Tick at, std::function<void()> fn);
+  /// The earliest live event, as located by peek(): its time and sequence
+  /// number, the slot that holds it, and which tier it sits in.
+  struct Front {
+    Tick at = kNever;  ///< kNever when the queue is empty
+    std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
+    bool from_wheel = false;
+  };
 
-  /// Removes the event if it has not fired yet; reclaims its slot (and any
-  /// closure) immediately. Returns true when an event was actually cancelled.
+  EventId schedule_event(Tick at, EventKind kind, const EventPayload& payload);
+
+  /// Removes the event if it has not fired yet; reclaims its slot
+  /// immediately. Returns true when an event was actually cancelled.
   bool cancel(EventId id);
 
   /// Registers the dispatch handler for a typed kind. Idempotent for the
   /// same function; a conflicting re-registration is a wiring bug and fails
-  /// a check. kCallback needs no handler.
+  /// a check. kHook comes registered.
   void set_handler(EventKind kind, EventHandler fn);
   EventHandler handler(EventKind kind) const { return handlers_[index_of(kind)]; }
 
   bool empty() const { return size() == 0; }
   std::size_t size() const { return heap_.size() + wheel_size_; }
 
-  /// Time of the earliest live event; kNever when empty.
-  Tick next_time() const {
-    Tick t = heap_.empty() ? kNever : heap_.front().at;
+  /// Locates the earliest live event by (at, seq): the earlier of the wheel
+  /// front and the heap top. `at` is kNever when the queue is empty.
+  Front peek() const {
+    Front f;
     if (wheel_size_ != 0) {
-      const Tick w = slots_[buckets_[wheel_front()].head].at;
-      if (t == kNever || w < t) t = w;
+      const std::uint32_t head = buckets_[wheel_front()].head;
+      const Slot& s = slots_[head];
+      f = Front{s.at, s.seq, head, true};
+      if (heap_.empty() || earlier(s.at, s.seq, heap_.front())) return f;
     }
-    return t;
+    if (!heap_.empty()) f = Front{heap_.front().at, heap_.front().seq, heap_.front().slot, false};
+    return f;
   }
+
+  /// Time of the earliest live event; kNever when empty.
+  Tick next_time() const { return peek().at; }
+
+  /// Pops and runs the event `front`, which must be what peek() returned
+  /// with no schedule or cancel in between — one front lookup per pop.
+  void run(const Front& front);
 
   /// Pops and runs the earliest event. Returns its time.
   /// Precondition: !empty().
@@ -109,18 +127,19 @@ class VEDR_SINGLE_THREADED EventQueue {
     std::uint32_t slot = 0;
   };
 
-  struct Slot {
+  /// One pooled event: exactly one cache line, owning nothing.
+  struct alignas(64) Slot {
     EventPayload payload;
-    std::function<void()> fn;  ///< kCallback only; cleared on reclaim
     Tick at = 0;               ///< wheel only; heap events keep it in HeapItem
     std::uint64_t seq = 0;     ///< wheel only
     std::uint32_t next = kNil; ///< wheel: next slot in the bucket FIFO
     std::uint32_t prev = kNil; ///< wheel: previous slot in the bucket FIFO
     std::uint32_t heap_pos = 0;
     std::uint32_t gen = 0;     ///< bumped on reclaim; validates EventIds
-    EventKind kind = EventKind::kCallback;
+    EventKind kind = EventKind::kHook;
     Tier tier = Tier::kFree;
   };
+  static_assert(sizeof(Slot) <= 64, "an event slot must fit one cache line");
 
   /// One tick's intrusive FIFO of slot indices, in sequence order.
   struct Bucket {
@@ -128,9 +147,10 @@ class VEDR_SINGLE_THREADED EventQueue {
     std::uint32_t tail = kNil;
   };
 
-  static bool earlier(const HeapItem& x, const HeapItem& y) {
-    if (x.at != y.at) return x.at < y.at;
-    return x.seq < y.seq;
+  static bool earlier(const HeapItem& x, const HeapItem& y) { return earlier(x.at, x.seq, y); }
+  static bool earlier(Tick at, std::uint64_t seq, const HeapItem& y) {
+    if (at != y.at) return at < y.at;
+    return seq < y.seq;
   }
 
   static std::uint32_t bucket_of(Tick at) {
@@ -175,6 +195,128 @@ class VEDR_SINGLE_THREADED EventQueue {
   Tick last_pop_time_ = 0;
   std::uint64_t last_pop_seq_ = 0;
   bool has_popped_ = false;
+
+ public:
+  /// Bytes per pooled event; the one-cache-line bound is pinned above and in
+  /// the tests.
+  static constexpr std::size_t kSlotBytes = sizeof(Slot);
 };
+
+// The per-event path — schedule, pop, dispatch — is defined here so every
+// scheduling site and the simulator's run loop inline it.
+
+inline std::uint32_t EventQueue::acquire_slot() {
+  if (!free_.empty()) {
+    const std::uint32_t slot = free_.back();
+    free_.pop_back();
+    return slot;
+  }
+  slots_.emplace_back();
+  return static_cast<std::uint32_t>(slots_.size() - 1);
+}
+
+inline void EventQueue::reclaim_slot(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.tier = Tier::kFree;
+  ++s.gen;  // invalidate outstanding EventIds for this slot
+  free_.push_back(slot);
+}
+
+inline EventId EventQueue::push(Tick at, std::uint32_t slot) {
+  // A bucket is addressed by `at` modulo the span relative to the last pop;
+  // an earlier time would land in a bucket of a later tick and misorder.
+  VEDR_CHECK_GE(at, last_pop_time_, "event scheduled before the last popped time");
+  const std::uint64_t seq = next_seq_++;
+  if (at - last_pop_time_ < kWheelSpan) {
+    wheel_push(at, seq, slot);
+  } else {
+    slots_[slot].tier = Tier::kHeap;
+    heap_.push_back(HeapItem{at, seq, slot});
+    sift_up(heap_.size() - 1);
+  }
+  return (static_cast<EventId>(slots_[slot].gen) << 32) | slot;
+}
+
+inline void EventQueue::wheel_push(Tick at, std::uint64_t seq, std::uint32_t slot) {
+  const std::uint32_t b = bucket_of(at);
+  Bucket& bucket = buckets_[b];
+  Slot& s = slots_[slot];
+  s.tier = Tier::kWheel;
+  s.at = at;
+  s.seq = seq;
+  s.next = kNil;
+  s.prev = bucket.tail;
+  if (bucket.tail == kNil) {
+    bucket.head = slot;
+    bits_[b >> 6] |= std::uint64_t{1} << (b & 63);
+    summary_ |= std::uint64_t{1} << (b >> 6);
+  } else {
+    slots_[bucket.tail].next = slot;
+  }
+  bucket.tail = slot;
+  ++wheel_size_;
+}
+
+inline void EventQueue::wheel_unlink(std::uint32_t slot) {
+  const Slot& s = slots_[slot];
+  const std::uint32_t b = bucket_of(s.at);
+  Bucket& bucket = buckets_[b];
+  if (s.prev == kNil) {
+    bucket.head = s.next;
+  } else {
+    slots_[s.prev].next = s.next;
+  }
+  if (s.next == kNil) {
+    bucket.tail = s.prev;
+  } else {
+    slots_[s.next].prev = s.prev;
+  }
+  if (bucket.head == kNil) {
+    std::uint64_t& word = bits_[b >> 6];
+    word &= ~(std::uint64_t{1} << (b & 63));
+    if (word == 0) summary_ &= ~(std::uint64_t{1} << (b >> 6));
+  }
+  --wheel_size_;
+}
+
+inline EventId EventQueue::schedule_event(Tick at, EventKind kind, const EventPayload& payload) {
+  const std::uint32_t slot = acquire_slot();
+  Slot& s = slots_[slot];
+  s.kind = kind;
+  s.payload = payload;
+  return push(at, slot);
+}
+
+inline void EventQueue::run(const Front& top) {
+  VEDR_ASSERT(top.at != kNever && top.at == peek().at && top.seq == peek().seq,
+              "run() needs the current front");
+  // Time must never run backwards, and equal-time events must pop in
+  // schedule order — the determinism contract every model relies on.
+  if (has_popped_) {
+    VEDR_CHECK_GE(top.at, last_pop_time_, "event queue popped out of time order");
+    if (top.at == last_pop_time_) {
+      VEDR_CHECK_GT(top.seq, last_pop_seq_,
+                    "same-tick events popped out of schedule order at t=", top.at);
+    }
+  }
+  has_popped_ = true;
+  last_pop_time_ = top.at;
+  last_pop_seq_ = top.seq;
+
+  if (top.from_wheel) {
+    wheel_unlink(top.slot);
+  } else {
+    heap_remove(0);
+  }
+  const Slot& s = slots_[top.slot];
+  const EventKind kind = s.kind;
+  const EventPayload payload = s.payload;
+  // Reclaim before dispatch so work scheduled by the handler reuses slots.
+  reclaim_slot(top.slot);
+
+  const EventHandler h = handlers_[index_of(kind)];
+  VEDR_CHECK(h != nullptr, "no handler registered for event kind ", to_string(kind));
+  h(payload);
+}
 
 }  // namespace vedr::sim

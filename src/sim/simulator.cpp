@@ -13,21 +13,22 @@ void Simulator::set_stats(StatsRegistry* stats) {
 
 std::uint64_t Simulator::run(Tick until) {
   std::uint64_t n = 0;
-  while (!queue_.empty()) {
-    const Tick next = queue_.next_time();
-    if (next == kNever || next > until) break;
-    VEDR_CHECK_GE(next, now_, "simulation clock would run backwards");
-    now_ = next;
+  for (;;) {
+    // One front lookup per pop: the peeked entry is the one that runs.
+    const EventQueue::Front front = queue_.peek();
+    if (front.at == kNever || front.at > until) break;
+    VEDR_CHECK_GE(front.at, now_, "simulation clock would run backwards");
+    now_ = front.at;
     // Sampled dispatch-latency observation. The mask check comes first so the
     // metrics-off cost is one branch; wall time is read through obs, keeping
     // the kernel itself free of host-clock calls (tools/lint.py wall-clock).
     if ((executed_ & kDispatchSampleMask) == 0 && dispatch_hist_ != nullptr &&
         obs::metrics_enabled()) {
       const std::uint64_t t0 = obs::wall_now_ns();
-      queue_.run_next();
+      queue_.run(front);
       dispatch_hist_->add(static_cast<std::int64_t>(obs::wall_now_ns() - t0));
     } else {
-      queue_.run_next();
+      queue_.run(front);
     }
     ++executed_;
     ++n;
@@ -36,12 +37,11 @@ std::uint64_t Simulator::run(Tick until) {
 }
 
 bool Simulator::step() {
-  if (queue_.empty()) return false;
-  const Tick next = queue_.next_time();
-  if (next == kNever) return false;
-  VEDR_CHECK_GE(next, now_, "simulation clock would run backwards");
-  now_ = next;
-  queue_.run_next();
+  const EventQueue::Front front = queue_.peek();
+  if (front.at == kNever) return false;
+  VEDR_CHECK_GE(front.at, now_, "simulation clock would run backwards");
+  now_ = front.at;
+  queue_.run(front);
   ++executed_;
   return true;
 }

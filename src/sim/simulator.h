@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 
 #include "sim/event_queue.h"
@@ -42,20 +41,9 @@ class Simulator {
   }
 
   /// Registers the dispatch handler for a typed kind (idempotent for the
-  /// same function; a conflicting registration fails a check).
+  /// same function; a conflicting registration fails a check). kHook comes
+  /// registered: its payload.obj is a caller-owned std::function<void()>.
   void set_handler(EventKind kind, EventHandler fn) { queue_.set_handler(kind, fn); }
-
-  /// Schedules `fn` to run `delay` ns from now (delay may be 0).
-  /// Cold-path escape hatch — allocates for the closure; keep it off the
-  /// per-packet path.
-  EventId schedule_in(Tick delay, std::function<void()> fn) {
-    return queue_.schedule_callback(now_ + (delay < 0 ? 0 : delay), std::move(fn));
-  }
-
-  /// Schedules `fn` at absolute time `at` (clamped to now()). Cold path.
-  EventId schedule_at(Tick at, std::function<void()> fn) {
-    return queue_.schedule_callback(at < now_ ? now_ : at, std::move(fn));
-  }
 
   bool cancel(EventId id) { return queue_.cancel(id); }
 

@@ -6,6 +6,7 @@
 #include "net/network.h"
 #include "net/switch.h"
 #include "sim/simulator.h"
+#include "support/hooks.h"
 
 namespace vedr::anomaly {
 namespace {
@@ -35,16 +36,17 @@ TEST(Injectors, FlowStartsAtScheduledTime) {
 
 TEST(Injectors, StormForcesAndReleasesPause) {
   sim::Simulator sim;
+  test_support::Hooks hooks(sim);
   net::Network net(sim, net::make_star(3, net::NetConfig{}));
   const net::NodeId sw = net.switches()[0];
   const StormSpec storm{net::PortRef{sw, 0}, 100 * sim::kMicrosecond, 1 * sim::kMillisecond};
   inject_storm(net, storm);
 
   bool paused_during = false, paused_after = false;
-  sim.schedule_at(600 * sim::kMicrosecond,
-                  [&] { paused_during = net.switch_at(sw).sending_pause_on(0); });
-  sim.schedule_at(2 * sim::kMillisecond,
-                  [&] { paused_after = net.switch_at(sw).sending_pause_on(0); });
+  hooks.at(600 * sim::kMicrosecond,
+           [&] { paused_during = net.switch_at(sw).sending_pause_on(0); });
+  hooks.at(2 * sim::kMillisecond,
+           [&] { paused_after = net.switch_at(sw).sending_pause_on(0); });
   sim.run();
   EXPECT_TRUE(paused_during);
   EXPECT_FALSE(paused_after);

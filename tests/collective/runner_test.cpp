@@ -7,12 +7,14 @@
 #include "collective/step_queues.h"
 #include "net/network.h"
 #include "sim/simulator.h"
+#include "support/hooks.h"
 
 namespace vedr::collective {
 namespace {
 
 struct Fixture {
   sim::Simulator sim;
+  test_support::Hooks hooks{sim};
   net::Topology topo;
   net::Network net;
 
@@ -150,16 +152,16 @@ TEST(Runner, LiveWaitingStatesDuringRun) {
   // ACK, so flows are rarely "waiting"; pause host 1's uplink to force its
   // successor to wait on the delayed data.
   const net::PortRef access = f.topo.peer(participants[1], 0);
-  f.sim.schedule_at(50 * sim::kMicrosecond, [&f, access] {
+  f.hooks.at(50 * sim::kMicrosecond, [&f, access] {
     f.net.deliver_pfc(access.node, access.port, net::Priority::kData, true);
   });
-  f.sim.schedule_at(600 * sim::kMicrosecond, [&f, access] {
+  f.hooks.at(600 * sim::kMicrosecond, [&f, access] {
     f.net.deliver_pfc(access.node, access.port, net::Priority::kData, false);
   });
   bool saw_waiting = false;
   // Poll the queues mid-run.
   for (int i = 1; i <= 50; ++i) {
-    f.sim.schedule_at(i * 20 * sim::kMicrosecond, [&] {
+    f.hooks.at(i * 20 * sim::kMicrosecond, [&] {
       for (int flow = 0; flow < 4; ++flow)
         if (runner.queues(flow).state() == WaitState::kWaiting) saw_waiting = true;
     });

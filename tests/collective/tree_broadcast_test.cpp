@@ -11,6 +11,7 @@
 #include "core/vedrfolnir.h"
 #include "net/network.h"
 #include "sim/simulator.h"
+#include "support/hooks.h"
 
 namespace vedr::collective {
 namespace {
@@ -94,6 +95,7 @@ TEST(TreeBroadcast, RunsOnFabricAndCompletes) {
 
 TEST(TreeBroadcast, VedrfolnirMonitorsItEndToEnd) {
   sim::Simulator sim;
+  test_support::Hooks hooks(sim);
   net::NetConfig cfg;
   net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
   const auto all = network.topology().hosts();
@@ -104,7 +106,7 @@ TEST(TreeBroadcast, VedrfolnirMonitorsItEndToEnd) {
 
   const net::FlowKey bg{all[12], participants[1], 100, 200};
   network.host(participants[1]).expect_flow(bg, 16 * 1024 * 1024);
-  sim.schedule_at(0, [&network, &all, bg] {
+  hooks.at(0, [&network, &all, bg] {
     network.host(all[12]).start_flow(bg, 16 * 1024 * 1024);
   });
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "net/routing.h"
 #include "sim/shard.h"
 #include "sim/sharded_engine.h"
+#include "support/hooks.h"
 
 namespace vedr {
 namespace {
@@ -120,10 +122,11 @@ TEST(ShardedStress, EngineHookAndWindowProtocol) {
 
   constexpr int kEvents = 200;
   std::atomic<std::uint64_t> fired{0};
+  std::vector<std::unique_ptr<test_support::Hooks>> hooks;
   for (int d = 0; d < kDomains; ++d) {
-    sim::Simulator& sim = engine.domain(d);
+    hooks.push_back(std::make_unique<test_support::Hooks>(engine.domain(d)));
     for (int i = 0; i < kEvents; ++i)
-      sim.schedule_at(i * 2 + d % 2, [&fired] { fired.fetch_add(1, std::memory_order_relaxed); });
+      hooks.back()->at(i * 2 + d % 2, [&fired] { fired.fetch_add(1, std::memory_order_relaxed); });
   }
 
   engine.run(1000);

@@ -10,6 +10,7 @@
 #include "net/network.h"
 #include "net/switch.h"
 #include "sim/simulator.h"
+#include "support/hooks.h"
 
 namespace vedr {
 namespace {
@@ -69,6 +70,7 @@ TEST(RoutingLoop, VedrfolnirDiagnosesLoopOnCollectivePath) {
 
 TEST(Watchdog, FiresWhenFlowFullyStalled) {
   sim::Simulator sim;
+  test_support::Hooks hooks(sim);
   net::NetConfig cfg;
   net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
 
@@ -81,10 +83,10 @@ TEST(Watchdog, FiresWhenFlowFullyStalled) {
 
   // Halt participant 0's uplink for 5 ms: no ACKs, no RTT triggers.
   const auto access = network.topology().peer(participants[0], 0);
-  sim.schedule_at(50 * sim::kMicrosecond, [&network, access] {
+  hooks.at(50 * sim::kMicrosecond, [&network, access] {
     network.deliver_pfc(access.node, access.port, net::Priority::kData, true);
   });
-  sim.schedule_at(5 * sim::kMillisecond, [&network, access] {
+  hooks.at(5 * sim::kMillisecond, [&network, access] {
     network.deliver_pfc(access.node, access.port, net::Priority::kData, false);
   });
   runner.start(0);
@@ -98,6 +100,7 @@ TEST(Watchdog, FiresWhenFlowFullyStalled) {
 
 TEST(Watchdog, DisabledViaConfig) {
   sim::Simulator sim;
+  test_support::Hooks hooks(sim);
   net::NetConfig cfg;
   net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
   const auto hosts = network.topology().hosts();
@@ -110,10 +113,10 @@ TEST(Watchdog, DisabledViaConfig) {
   core::Vedrfolnir vedr(network, runner, vcfg);
 
   const auto access = network.topology().peer(participants[0], 0);
-  sim.schedule_at(50 * sim::kMicrosecond, [&network, access] {
+  hooks.at(50 * sim::kMicrosecond, [&network, access] {
     network.deliver_pfc(access.node, access.port, net::Priority::kData, true);
   });
-  sim.schedule_at(5 * sim::kMillisecond, [&network, access] {
+  hooks.at(5 * sim::kMillisecond, [&network, access] {
     network.deliver_pfc(access.node, access.port, net::Priority::kData, false);
   });
   runner.start(0);

@@ -5,12 +5,14 @@
 #include "net/network.h"
 #include "net/switch.h"
 #include "sim/simulator.h"
+#include "support/hooks.h"
 
 namespace vedr::net {
 namespace {
 
 struct Fixture {
   sim::Simulator sim;
+  test_support::Hooks hooks{sim};
   NetConfig cfg;
   Topology topo;
   Network net;
@@ -125,13 +127,12 @@ TEST(Host, PfcPauseStopsDataAndResumeRestarts) {
   // After 10 us, pause host 0 for 1 ms, then resume.
   const NodeId edge = f.topo.peer(0, 0).node;
   const PortId edge_port_to_h0 = f.topo.peer(0, 0).port;
-  f.sim.schedule_at(10 * sim::kMicrosecond, [&f, edge, edge_port_to_h0] {
+  f.hooks.at(10 * sim::kMicrosecond, [&f, edge, edge_port_to_h0] {
     f.net.deliver_pfc(edge, edge_port_to_h0, Priority::kData, true);
   });
-  f.sim.schedule_at(1 * sim::kMillisecond + 10 * sim::kMicrosecond,
-                    [&f, edge, edge_port_to_h0] {
-                      f.net.deliver_pfc(edge, edge_port_to_h0, Priority::kData, false);
-                    });
+  f.hooks.at(1 * sim::kMillisecond + 10 * sim::kMicrosecond, [&f, edge, edge_port_to_h0] {
+    f.net.deliver_pfc(edge, edge_port_to_h0, Priority::kData, false);
+  });
   f.sim.run();
   ASSERT_NE(done, sim::kNever);
   // The pause must have delayed completion by roughly its duration.

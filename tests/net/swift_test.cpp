@@ -7,6 +7,7 @@
 #include "net/network.h"
 #include "net/switch.h"
 #include "sim/simulator.h"
+#include "support/hooks.h"
 
 namespace vedr::net {
 namespace {
@@ -59,9 +60,10 @@ TEST(Swift, RecoversAdditively) {
 
 TEST(Swift, NeverBelowMinRate) {
   sim::Simulator sim;
+  test_support::Hooks hooks(sim);
   SwiftFlow f(sim, params(), 10 * sim::kMicrosecond);
   for (int i = 0; i < 100; ++i) {
-    sim.schedule_in(60 * sim::kMicrosecond, [] {});
+    hooks.in(60 * sim::kMicrosecond, [] {});
     sim.run();
     f.on_rtt(1 * sim::kMillisecond);
   }

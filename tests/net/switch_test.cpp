@@ -5,6 +5,7 @@
 #include "net/host.h"
 #include "net/network.h"
 #include "sim/simulator.h"
+#include "support/hooks.h"
 
 namespace vedr::net {
 namespace {
@@ -13,6 +14,7 @@ namespace {
 /// provoke deterministically.
 struct StarFixture {
   sim::Simulator sim;
+  test_support::Hooks hooks{sim};
   Topology topo;
   Network net;
 
@@ -43,7 +45,7 @@ TEST(Switch, IncastBuildsQueueAndEcnMarks) {
   // Sample the queue shortly after start.
   std::int64_t peak_q = 0;
   for (int i = 1; i <= 40; ++i) {
-    f.sim.schedule_at(i * 10 * sim::kMicrosecond, [&] {
+    f.hooks.at(i * 10 * sim::kMicrosecond, [&] {
       peak_q = std::max(peak_q,
                         f.net.switch_at(f.sw()).queue_bytes(4, Priority::kData));
     });
@@ -66,7 +68,7 @@ TEST(Switch, PfcPausesUpstreamHostBeforeOverflow) {
   }
   bool saw_pause = false;
   for (int i = 1; i <= 200; ++i) {
-    f.sim.schedule_at(i * 5 * sim::kMicrosecond, [&] {
+    f.hooks.at(i * 5 * sim::kMicrosecond, [&] {
       for (PortId p = 0; p < 5; ++p)
         if (f.net.switch_at(f.sw()).sending_pause_on(p)) saw_pause = true;
     });
@@ -86,8 +88,8 @@ TEST(Switch, ForcePauseHaltsPeerAndRecordsInjectedCause) {
   f.net.host(0).start_flow(key, 64 * 4096);
 
   // Storm: switch port facing host 0 emits PAUSE for 2 ms.
-  f.sim.schedule_at(10 * sim::kMicrosecond,
-                    [&] { f.net.switch_at(f.sw()).force_pause(0, 2 * sim::kMillisecond); });
+  f.hooks.at(10 * sim::kMicrosecond,
+             [&] { f.net.switch_at(f.sw()).force_pause(0, 2 * sim::kMillisecond); });
   f.sim.run();
   ASSERT_NE(done, sim::kNever);
   EXPECT_GT(done, 2 * sim::kMillisecond);
@@ -104,7 +106,7 @@ TEST(Switch, TtlExpiryDropsAndCounts) {
   // TTL 1: decremented to 0 at the switch, next hop would need 1 more.
   pkt.ttl = 0;
   f.net.host(0); // ensure constructed
-  f.sim.schedule_at(0, [&f, pkt] {
+  f.hooks.at(0, [&f, pkt] {
     f.net.switch_at(f.sw()).handle_rx(pkt, 0);
   });
   f.sim.run();
@@ -123,7 +125,7 @@ TEST(Switch, ControlPriorityBypassesDataBacklog) {
   sim::Tick sent_at = 0, got_at = sim::kNever;
   f.net.host(4).set_control_listener(
       [&](const Packet&, sim::Tick t) { got_at = t; });
-  f.sim.schedule_at(200 * sim::kMicrosecond, [&] {
+  f.hooks.at(200 * sim::kMicrosecond, [&] {
     sent_at = f.sim.now();
     Packet pkt;
     pkt.type = PacketType::kNotification;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "sim/event_queue.h"
+#include "support/hooks.h"
 
 namespace vedr::sim {
 namespace {
@@ -86,6 +87,7 @@ void run_model_check(std::uint64_t seed, int ops, Tick (*delay)(std::mt19937_64&
                      Tick* last_pop = nullptr) {
   std::mt19937_64 rng(seed);
   EventQueue q;
+  test_support::Hooks hooks(q);
   ReferenceQueue ref;
 
   // Fired events append their reference-seq here; the engine must reproduce
@@ -102,14 +104,15 @@ void run_model_check(std::uint64_t seed, int ops, Tick (*delay)(std::mt19937_64&
   for (int op = 0; op < ops; ++op) {
     const int dice = static_cast<int>(rng() % 100);
     if (dice < 50 || live.empty()) {
-      // Schedule (half typed, half callback — both share the seq counter).
+      // Schedule (half typed, half hook closures — all kinds share the seq
+      // counter).
       const Tick at = clock + delay(rng);
       const std::uint64_t seq = ref.schedule(at);
       EventId id;
       if (rng() % 2 == 0) {
         id = q.schedule_event(at, EventKind::kStepPoll, {nullptr, seq, 0});
       } else {
-        id = q.schedule_callback(at, [seq] { fired_sink->push_back(seq); });
+        id = hooks.at(at, [seq] { fired_sink->push_back(seq); });
       }
       live.push_back({id, seq});
     } else if (dice < 75) {

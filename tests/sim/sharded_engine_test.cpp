@@ -9,9 +9,12 @@
 
 #include "common/spsc_ring.h"
 #include "sim/shard.h"
+#include "support/hooks.h"
 
 namespace vedr::sim {
 namespace {
+
+using test_support::Hooks;
 
 TEST(ShardedEngine, ClampsWorkersToDomains) {
   ShardedEngine engine(3, /*lookahead=*/10, /*num_workers=*/16);
@@ -26,9 +29,10 @@ TEST(ShardedEngine, SingleDomainExecutesInTimeOrder) {
   ShardedEngine engine(1, /*lookahead=*/5, /*num_workers=*/1);
   std::vector<Tick> fired;
   Simulator& sim = engine.domain(0);
-  sim.schedule_at(30, [&] { fired.push_back(sim.now()); });
-  sim.schedule_at(10, [&] { fired.push_back(sim.now()); });
-  sim.schedule_at(20, [&] { fired.push_back(sim.now()); });
+  Hooks hooks(sim);
+  hooks.at(30, [&] { fired.push_back(sim.now()); });
+  hooks.at(10, [&] { fired.push_back(sim.now()); });
+  hooks.at(20, [&] { fired.push_back(sim.now()); });
 
   const std::uint64_t n = engine.run(100);
   EXPECT_EQ(n, 3u);
@@ -41,8 +45,9 @@ TEST(ShardedEngine, UntilBoundIsInclusive) {
   // it stays queued.
   ShardedEngine engine(2, /*lookahead=*/4, /*num_workers=*/2);
   int at_bound = 0, past_bound = 0;
-  engine.domain(0).schedule_at(50, [&] { ++at_bound; });
-  engine.domain(1).schedule_at(51, [&] { ++past_bound; });
+  Hooks h0(engine.domain(0)), h1(engine.domain(1));
+  h0.at(50, [&] { ++at_bound; });
+  h1.at(51, [&] { ++past_bound; });
 
   engine.run(50);
   EXPECT_EQ(at_bound, 1);
@@ -54,7 +59,8 @@ TEST(ShardedEngine, UntilBoundIsInclusive) {
 
 TEST(ShardedEngine, RunReturnsZeroWhenDrained) {
   ShardedEngine engine(2, 10, 2);
-  engine.domain(0).schedule_at(1, [] {});
+  Hooks hooks(engine.domain(0));
+  hooks.at(1, [] {});
   EXPECT_EQ(engine.run(100), 1u);
   EXPECT_EQ(engine.run(1000), 0u);
 }
@@ -65,10 +71,11 @@ TEST(ShardedEngine, WindowsTrackSparseEventTimes) {
   // not grind through a thousand empty windows.
   ShardedEngine engine(2, /*lookahead=*/10, /*num_workers=*/2);
   std::atomic<int> fired{0};  // bumped from two worker threads
-  engine.domain(0).schedule_at(0, [&] { ++fired; });
-  engine.domain(1).schedule_at(3, [&] { ++fired; });
-  engine.domain(0).schedule_at(1000, [&] { ++fired; });
-  engine.domain(1).schedule_at(1003, [&] { ++fired; });
+  Hooks h0(engine.domain(0)), h1(engine.domain(1));
+  h0.at(0, [&] { ++fired; });
+  h1.at(3, [&] { ++fired; });
+  h0.at(1000, [&] { ++fired; });
+  h1.at(1003, [&] { ++fired; });
 
   engine.run(2000);
   EXPECT_EQ(fired.load(), 4);
@@ -89,7 +96,10 @@ TEST(ShardedEngine, HooksRunUnderTheDomainsShardScope) {
     std::lock_guard<std::mutex> lock(mu);
     flushed.emplace_back(d, current_domain());
   });
-  for (int d = 0; d < 3; ++d) engine.domain(d).schedule_at(d, [] {});
+  Hooks h0(engine.domain(0)), h1(engine.domain(1)), h2(engine.domain(2));
+  h0.at(0, [] {});
+  h1.at(1, [] {});
+  h2.at(2, [] {});
 
   engine.run(100);
   ASSERT_FALSE(drained.empty());
@@ -114,13 +124,14 @@ TEST(ShardedEngine, CrossDomainHandoffLandsAfterTheWindow) {
   common::SpscRing<Tick> lane(16);
   std::vector<Tick> delivered;
 
-  engine.domain(0).schedule_at(5, [&] { lane.push(engine.domain(0).now() + kLookahead); });
+  Hooks h0(engine.domain(0)), h1(engine.domain(1));
+  h0.at(5, [&] { lane.push(engine.domain(0).now() + kLookahead); });
   engine.set_drain_hook([&](int d) {
     if (d != 1) return;
     std::vector<Tick> arrivals;
     lane.drain_into(arrivals);
     for (const Tick at : arrivals)
-      engine.domain(1).schedule_at(at, [&] { delivered.push_back(engine.domain(1).now()); });
+      h1.at(at, [&] { delivered.push_back(engine.domain(1).now()); });
   });
 
   engine.run(1000);

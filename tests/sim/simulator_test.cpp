@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include "support/hooks.h"
+
 namespace vedr::sim {
 namespace {
 
 TEST(Simulator, ClockAdvancesWithEvents) {
   Simulator s;
+  test_support::Hooks h(s);
   EXPECT_EQ(s.now(), 0);
   Tick seen = -1;
-  s.schedule_in(500, [&] { seen = s.now(); });
+  h.in(500, [&] { seen = s.now(); });
   s.run();
   EXPECT_EQ(seen, 500);
   EXPECT_EQ(s.now(), 500);
@@ -17,25 +20,28 @@ TEST(Simulator, ClockAdvancesWithEvents) {
 
 TEST(Simulator, ScheduleInIsRelative) {
   Simulator s;
+  test_support::Hooks h(s);
   Tick second = -1;
-  s.schedule_in(100, [&] { s.schedule_in(50, [&] { second = s.now(); }); });
+  h.in(100, [&] { h.in(50, [&] { second = s.now(); }); });
   s.run();
   EXPECT_EQ(second, 150);
 }
 
 TEST(Simulator, ScheduleAtAbsolute) {
   Simulator s;
+  test_support::Hooks h(s);
   Tick seen = -1;
-  s.schedule_at(1234, [&] { seen = s.now(); });
+  h.at(1234, [&] { seen = s.now(); });
   s.run();
   EXPECT_EQ(seen, 1234);
 }
 
 TEST(Simulator, ScheduleAtPastClampsToNow) {
   Simulator s;
+  test_support::Hooks h(s);
   Tick seen = -1;
-  s.schedule_in(100, [&] {
-    s.schedule_at(10, [&] { seen = s.now(); });  // in the past
+  h.in(100, [&] {
+    h.at(10, [&] { seen = s.now(); });  // in the past
   });
   s.run();
   EXPECT_EQ(seen, 100);
@@ -43,16 +49,18 @@ TEST(Simulator, ScheduleAtPastClampsToNow) {
 
 TEST(Simulator, NegativeDelayClampsToNow) {
   Simulator s;
+  test_support::Hooks h(s);
   Tick seen = -1;
-  s.schedule_in(-5, [&] { seen = s.now(); });
+  h.in(-5, [&] { seen = s.now(); });
   s.run();
   EXPECT_EQ(seen, 0);
 }
 
 TEST(Simulator, RunUntilBoundsExecution) {
   Simulator s;
+  test_support::Hooks h(s);
   int count = 0;
-  for (Tick t = 100; t <= 1000; t += 100) s.schedule_at(t, [&] { ++count; });
+  for (Tick t = 100; t <= 1000; t += 100) h.at(t, [&] { ++count; });
   const auto executed = s.run(500);
   EXPECT_EQ(executed, 5u);
   EXPECT_EQ(count, 5);
@@ -64,9 +72,10 @@ TEST(Simulator, RunUntilBoundsExecution) {
 
 TEST(Simulator, StepExecutesOne) {
   Simulator s;
+  test_support::Hooks h(s);
   int count = 0;
-  s.schedule_in(1, [&] { ++count; });
-  s.schedule_in(2, [&] { ++count; });
+  h.in(1, [&] { ++count; });
+  h.in(2, [&] { ++count; });
   EXPECT_TRUE(s.step());
   EXPECT_EQ(count, 1);
   EXPECT_TRUE(s.step());
@@ -76,8 +85,9 @@ TEST(Simulator, StepExecutesOne) {
 
 TEST(Simulator, CancelStopsEvent) {
   Simulator s;
+  test_support::Hooks h(s);
   bool ran = false;
-  const auto id = s.schedule_in(10, [&] { ran = true; });
+  const auto id = h.in(10, [&] { ran = true; });
   EXPECT_TRUE(s.cancel(id));
   s.run();
   EXPECT_FALSE(ran);
@@ -85,7 +95,8 @@ TEST(Simulator, CancelStopsEvent) {
 
 TEST(Simulator, EventsExecutedCounts) {
   Simulator s;
-  for (int i = 0; i < 7; ++i) s.schedule_in(i, [] {});
+  test_support::Hooks h(s);
+  for (int i = 0; i < 7; ++i) h.in(i, [] {});
   s.run();
   EXPECT_EQ(s.events_executed(), 7u);
 }

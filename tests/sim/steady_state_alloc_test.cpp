@@ -18,6 +18,7 @@
 
 #include "collective/plan.h"
 #include "collective/runner.h"
+#include "core/monitor.h"
 #include "net/network.h"
 #include "net/topology.h"
 #include "sim/event_queue.h"
@@ -59,10 +60,34 @@ void* operator new(std::size_t n) {
 
 void* operator new[](std::size_t n) { return ::operator new(n); }
 
+// Over-aligned types (the event queue's cache-line slots) allocate through
+// the align_val_t overloads; count those too.
+void* operator new(std::size_t n, std::align_val_t al) {
+  if (g_counting.load(std::memory_order_relaxed))
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(al);
+  if (void* p = std::aligned_alloc(a, (n + a - 1) / a * a)) return p;
+  throw std::bad_alloc{};
+}
+void* operator new[](std::size_t n, std::align_val_t al) { return ::operator new(n, al); }
+
+// GCC pairs these malloc-backed deletes with its own notion of the
+// replaced operator new and reports a mismatch; the pair here is consistent.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 #endif  // VEDR_ALLOC_OVERRIDE
 
 namespace vedr {
@@ -145,6 +170,51 @@ TEST(SteadyStateAlloc, EventQueueChurnAcrossBothTiersAllocatesNothing) {
     GTEST_SKIP() << "allocation counting is not meaningful under sanitizers";
   }
   EXPECT_EQ(g_allocs.load(), 0u) << "warm event-queue churn allocated";
+}
+
+class NullIngest final : public core::IngestSink {
+ public:
+  void add_step_record(const collective::StepRecord&) override {}
+  void register_poll(std::uint64_t, int, int) override {}
+};
+
+TEST(SteadyStateAlloc, MonitorRttSamplesAllocateNothing) {
+  // Every ACK reaches the host's Monitor; counting it must not allocate (a
+  // keyed stats counter with an over-SSO name would, once per ACK).
+  sim::Simulator sim;
+  net::NetConfig cfg;
+  net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
+  const auto hosts = network.hosts();
+  std::vector<net::NodeId> participants(hosts.begin(), hosts.begin() + 4);
+  collective::CollectiveRunner runner(
+      network, collective::CollectivePlan::ring(0, collective::OpType::kAllGather, participants,
+                                                1 << 20));
+  NullIngest ingest;
+  core::Monitor monitor(network, runner.plan(), ingest, participants[0], core::DetectionConfig{});
+  const collective::StepRecord& step = runner.record(monitor.flow_index(), 0);
+  monitor.on_step_start(step);
+  const net::FlowKey other{step.key.src, step.key.dst,
+                           static_cast<std::uint16_t>(step.key.sport + 1000), step.key.dport};
+  // RTTs far below the step threshold: the monitored flow's samples update
+  // its trigger state without firing a poll; the other flow's are counted only.
+  auto samples = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      monitor.on_rtt_sample(step.key, 1 + i % 3, static_cast<std::uint32_t>(i));
+      monitor.on_rtt_sample(other, 2, static_cast<std::uint32_t>(i));
+    }
+  };
+  samples(100);  // warm-up
+
+  g_allocs.store(0);
+  g_counting.store(true);
+  samples(10'000);
+  g_counting.store(false);
+  EXPECT_EQ(network.stats().counter("monitor.rtt_samples"), 2 * 10'100);
+  EXPECT_EQ(monitor.polls_sent(), 0);
+  if (kSanitized) {
+    GTEST_SKIP() << "allocation counting is not meaningful under sanitizers";
+  }
+  EXPECT_EQ(g_allocs.load(), 0u) << "warm per-ACK monitor path allocated";
 }
 
 }  // namespace
